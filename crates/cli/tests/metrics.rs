@@ -128,3 +128,49 @@ fn sharded_output_is_byte_identical_to_sequential() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fused_emission_totals_are_pinned_and_gen_thread_invariant() {
+    // Pre-filter emissions per target-strategy kind for this run: every
+    // generated copy of every probe, logged or not. Run-length takes hand
+    // out several copies at once; each copy must count exactly once, on
+    // the sequential source (1 thread) and on the parallel one.
+    const EXPECTED: [(&str, u64); 4] = [
+        ("scanners.fleet.packets_emitted.artifacts", 14_256),
+        ("scanners.fleet.packets_emitted.noise", 1_474),
+        ("scanners.fleet.packets_emitted.pair_explore", 346),
+        ("scanners.fleet.packets_emitted.pair_mix", 182_880),
+    ];
+    let dir = std::env::temp_dir().join(format!("lumen6-metrics-fused-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for gen_threads in ["1", "2"] {
+        let metrics = dir.join(format!("m{gen_threads}.json"));
+        let out = stdout_of(&lumen6(&[
+            "detect",
+            "--fused",
+            "--small",
+            "--days",
+            "5",
+            "--seed",
+            "3",
+            "--intensity",
+            "2",
+            "--gen-threads",
+            gen_threads,
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]));
+        let json = std::fs::read_to_string(&metrics).unwrap();
+        let snap: MetricsSnapshot = serde_json::from_str(&json).expect("metrics JSON parses");
+        let emitted: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("scanners.fleet.packets_emitted."))
+            .map(|(k, &v)| (k.as_str(), v))
+            .collect();
+        assert_eq!(emitted, EXPECTED, "--gen-threads {gen_threads}");
+        assert!(out.contains("metrics ->"), "{out}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -31,8 +31,20 @@
 //!   [`lumen6_trace::merge_sorted`], with actors at their fleet indices
 //!   followed by the artifact and noise streams — the exact order
 //!   `cdn_trace` pushes them.
-//! - The capture filter is [`FirewallCapture::logs`] itself, applied
-//!   per record.
+//! - The merge drains *runs* ([`drain_runs`]): after popping a stream it
+//!   keeps taking from that stream while the stream's next key stays below
+//!   the heap's new top. Those are exactly the records a record-at-a-time
+//!   merge would pop next, so the order is unchanged while the merge heap
+//!   costs one pop and one push per run instead of per record. Every copy
+//!   of a run-length entry shares one key, so a single take hands out all
+//!   the copies a fill has room for.
+//! - The capture filter is [`FirewallCapture::logs`] itself, a pure
+//!   per-record predicate. It is applied once per take — once per distinct
+//!   probe, except where a fill boundary splits an entry — and its verdict
+//!   covers every copy, since the copies are the same record. Dropped
+//!   copies are consumed exactly when the record-at-a-time merge would
+//!   consume them (while the fill has room), so positions and the
+//!   emission counters are unchanged too.
 //!
 //! The artifact and noise streams *are* materialized up front: their
 //! generators are opaque to this module and their size is independent of
@@ -55,6 +67,7 @@ use lumen6_trace::{CodecError, PacketRecord, RecordBatch, Source, TracePosition,
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::io;
 
@@ -207,72 +220,182 @@ impl ActorStream {
         }
     }
 
-    /// Pops this actor's next packet (after confirming it, as
-    /// [`peek_ts`](ActorStream::peek_ts) does). Delivers one copy of the
-    /// top entry, dequeuing it only once its repeats are exhausted; the
-    /// heap key is unchanged while copies remain, so the entry stays on
-    /// top for the adjacent duplicates a stable sort would produce.
-    pub(crate) fn pop(&mut self, actor: &ScannerActor) -> Option<PacketRecord> {
+    /// Takes up to `limit` copies of this actor's next entry (after
+    /// confirming it, as [`peek_ts`](ActorStream::peek_ts) does) and
+    /// returns the record with the number of copies taken. The entry is
+    /// dequeued only once its repeats are exhausted; its heap key does not
+    /// change while copies remain, so it stays on top for the adjacent
+    /// duplicates a stable sort would produce.
+    pub(crate) fn take(&mut self, actor: &ScannerActor, limit: u64) -> Option<(PacketRecord, u64)> {
         self.peek_ts(actor)?;
         let mut top = self.heap.peek_mut()?;
-        if top.0.reps > 1 {
-            top.0.reps -= 1;
-            Some(top.0.rec)
+        if top.0.reps > limit {
+            top.0.reps -= limit;
+            Some((top.0.rec, limit))
         } else {
-            Some(std::collections::binary_heap::PeekMut::pop(top).0.rec)
+            let p = PeekMut::pop(top).0;
+            Some((p.rec, p.reps))
         }
     }
 }
 
-/// Delivery cursor over a fixed (artifact or noise) stream: the stream is
-/// materialized at its base (1×) size and intensity repeats are applied at
-/// delivery time, mirroring the per-record repetition `cdn_trace` bakes
-/// into the materialized trace. Invariant outside of delivery: either
-/// `pos` is past the end, or `rem > 0` copies of `stream[pos]` remain due.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FixedCursor {
-    pub(crate) pos: usize,
-    pub(crate) rem: u64,
+/// A fixed (artifact or noise) stream with its delivery cursor: the
+/// stream is materialized at its base (1×) size and intensity repeats are
+/// applied at delivery time, mirroring the per-record repetition
+/// `cdn_trace` bakes into the materialized trace. Invariant outside of
+/// delivery: either `pos` is past the end, or `rem > 0` copies of
+/// `recs[pos]` remain due.
+#[derive(Debug, Clone)]
+pub(crate) struct FixedStream {
+    recs: Vec<PacketRecord>,
+    /// Scaled delivery total.
+    scaled: u64,
+    pos: usize,
+    rem: u64,
 }
 
-impl FixedCursor {
+impl FixedStream {
+    fn new(recs: Vec<PacketRecord>, intensity: f64) -> FixedStream {
+        let scaled = crate::fleet::scale_intensity(recs.len() as u64, intensity);
+        let mut s = FixedStream {
+            recs,
+            scaled,
+            pos: 0,
+            rem: 0,
+        };
+        s.normalize();
+        s
+    }
+
+    /// Moves the cursor back to the first record.
+    pub(crate) fn rewind(&mut self) {
+        self.pos = 0;
+        self.rem = 0;
+        self.normalize();
+    }
+
     /// Re-establishes the invariant after `rem` hits zero (or at init):
     /// advances `pos` past records whose repeat count is zero (fractional
     /// intensities drop records) and loads the next record's count.
-    pub(crate) fn normalize(&mut self, base: u64, scaled: u64) {
+    fn normalize(&mut self) {
+        let base = self.recs.len() as u64;
         while self.rem == 0 && (self.pos as u64) < base {
             let i = self.pos as u64;
-            self.rem = crate::fleet::emission_due(scaled, base, i + 1)
-                - crate::fleet::emission_due(scaled, base, i);
+            self.rem = crate::fleet::emission_due(self.scaled, base, i + 1)
+                - crate::fleet::emission_due(self.scaled, base, i);
             if self.rem == 0 {
                 self.pos += 1;
             }
         }
     }
+
+    /// Timestamp of the next record; `None` once exhausted.
+    pub(crate) fn peek_ts(&self) -> Option<u64> {
+        self.recs.get(self.pos).map(|r| r.ts_ms)
+    }
+
+    /// Takes up to `limit` copies of the next record, like
+    /// [`ActorStream::take`].
+    pub(crate) fn take(&mut self, limit: u64) -> Option<(PacketRecord, u64)> {
+        let &rec = self.recs.get(self.pos)?;
+        let n = self.rem.min(limit);
+        self.rem -= n;
+        if self.rem == 0 {
+            self.pos += 1;
+            self.normalize();
+        }
+        Some((rec, n))
+    }
 }
 
 /// Materializes the fixed (artifact, noise) streams of a world at their
 /// base (1×) size — shared between [`FleetSource`] and
-/// [`crate::ParallelFleetSource`], whose cursors apply intensity repeats
-/// at delivery time.
-pub(crate) fn fixed_streams(world: &World) -> [Vec<PacketRecord>; 2] {
+/// [`crate::ParallelFleetSource`].
+pub(crate) fn fixed_streams(world: &World) -> [FixedStream; 2] {
     let cfg = world.config();
     [
-        artifacts::generate(
-            &world.deployment,
-            &cfg.artifacts,
-            cfg.start_day,
-            cfg.end_day,
-            cfg.seed,
+        FixedStream::new(
+            artifacts::generate(
+                &world.deployment,
+                &cfg.artifacts,
+                cfg.start_day,
+                cfg.end_day,
+                cfg.seed,
+            ),
+            cfg.intensity,
         ),
-        noise::generate(
-            &world.deployment.all_addrs(),
-            cfg.noise_sources_per_day,
-            cfg.start_day,
-            cfg.end_day,
-            cfg.seed,
+        FixedStream::new(
+            noise::generate(
+                &world.deployment.all_addrs(),
+                cfg.noise_sources_per_day,
+                cfg.start_day,
+                cfg.end_day,
+                cfg.seed,
+            ),
+            cfg.intensity,
         ),
     ]
+}
+
+/// The inputs of a run merge, addressed by their merge-key tie-break. Both
+/// the sequential source and each parallel generator worker drain through
+/// [`drain_runs`], so the two paths cannot diverge.
+pub(crate) trait RunInputs {
+    /// Tie-break part of the merge key: ascending in the global stream
+    /// index, unique per input.
+    type Key: Ord + Copy;
+    /// Timestamp of input `k`'s next entry; `None` once exhausted.
+    fn peek_ts(&mut self, k: Self::Key) -> Option<u64>;
+    /// Takes up to `limit` (≥ 1) copies of input `k`'s next entry.
+    fn take(&mut self, k: Self::Key, limit: u64) -> Option<(PacketRecord, u64)>;
+    /// Accounts `n` pre-filter emissions of input `k`.
+    fn emitted(&mut self, k: Self::Key, n: u64);
+    /// Delivers `n` copies of `rec`, which passed the capture filter.
+    fn deliver(&mut self, k: Self::Key, rec: PacketRecord, n: usize);
+}
+
+/// Drains up to `budget` logged records from a k-way merge over `inputs`,
+/// in (timestamp, key) order, and returns how many it delivered; fewer
+/// than `budget` means every input is exhausted.
+///
+/// The merge works in runs: after popping input `k`, it keeps taking from
+/// `k` while `k`'s next key is below the heap's new top — exactly the
+/// records a record-at-a-time merge would pop next. Each take hands out a
+/// whole run-length entry (or as much of it as `budget` leaves room for)
+/// and is filtered once. Records the filter drops do not count against
+/// `budget`, and the drain stops right after the last delivered record,
+/// so the input state at return is that of a record-at-a-time merge.
+pub(crate) fn drain_runs<I: RunInputs>(
+    merge: &mut BinaryHeap<Reverse<(u64, I::Key)>>,
+    inputs: &mut I,
+    filter: &FirewallCapture<'_>,
+    budget: usize,
+) -> usize {
+    let mut produced = 0usize;
+    while produced < budget {
+        let Some(Reverse((_, k))) = merge.pop() else {
+            break;
+        };
+        let top = merge.peek().map(|&Reverse(key)| key);
+        // Frontier entries are confirmed, so the first take succeeds.
+        while let Some((rec, n)) = inputs.take(k, (budget - produced) as u64) {
+            inputs.emitted(k, n);
+            if filter.logs(&rec) {
+                // n ≤ budget - produced, a usize.
+                let n = n as usize;
+                inputs.deliver(k, rec, n);
+                produced += n;
+            }
+            let Some(ts) = inputs.peek_ts(k) else {
+                break; // exhausted: leaves the merge
+            };
+            if produced == budget || top.is_some_and(|t| t < (ts, k)) {
+                merge.push(Reverse((ts, k)));
+                break;
+            }
+        }
+    }
+    produced
 }
 
 /// A [`Source`] that generates the firewall-logged CDN trace of a [`World`]
@@ -284,11 +407,8 @@ pub struct FleetSource {
     capture: CaptureConfig,
     streams: Vec<ActorStream>,
     /// Materialized artifact and noise streams (base size — intensity
-    /// repeats are applied by the cursors, so memory stays invariant).
-    fixed: [Vec<PacketRecord>; 2],
-    /// Scaled delivery totals for the fixed streams.
-    fixed_scaled: [u64; 2],
-    fixed_cur: [FixedCursor; 2],
+    /// repeats are applied at delivery, so memory stays invariant).
+    fixed: [FixedStream; 2],
     /// K-way merge frontier: (next timestamp, stream index), actors first,
     /// then artifacts, then noise — the `merge_sorted` key and order.
     merge: BinaryHeap<Reverse<(u64, usize)>>,
@@ -338,17 +458,11 @@ impl FleetSource {
         counters.push(reg.counter("scanners.fleet.packets_emitted.noise"));
         counter_of_stream.push(counters.len() - 1);
         let pending_counts = vec![0; counters.len()];
-        let fixed_scaled = [
-            crate::fleet::scale_intensity(fixed[0].len() as u64, cfg.intensity),
-            crate::fleet::scale_intensity(fixed[1].len() as u64, cfg.intensity),
-        ];
         let mut src = FleetSource {
             world,
             capture,
             streams,
             fixed,
-            fixed_scaled,
-            fixed_cur: [FixedCursor::default(), FixedCursor::default()],
             merge: BinaryHeap::new(),
             delivered: 0,
             prev_ts: 0,
@@ -376,8 +490,6 @@ impl FleetSource {
             world,
             streams,
             fixed,
-            fixed_scaled,
-            fixed_cur,
             merge,
             ..
         } = self;
@@ -387,10 +499,9 @@ impl FleetSource {
                 merge.push(Reverse((ts, i)));
             }
         }
-        for (fi, stream) in fixed.iter().enumerate() {
-            fixed_cur[fi].normalize(stream.len() as u64, fixed_scaled[fi]);
-            if let Some(r) = stream.get(fixed_cur[fi].pos) {
-                merge.push(Reverse((r.ts_ms, streams.len() + fi)));
+        for (fi, f) in fixed.iter().enumerate() {
+            if let Some(ts) = f.peek_ts() {
+                merge.push(Reverse((ts, streams.len() + fi)));
             }
         }
     }
@@ -408,7 +519,9 @@ impl FleetSource {
             .par_iter()
             .map(|a| ActorStream::new(a, seed, intensity))
             .collect();
-        self.fixed_cur = [FixedCursor::default(), FixedCursor::default()];
+        for f in &mut self.fixed {
+            f.rewind();
+        }
         self.delivered = 0;
         self.prev_ts = 0;
         self.prime_merge();
@@ -417,69 +530,67 @@ impl FleetSource {
     /// Produces up to `max` *logged* records, appending to `out` when
     /// given (resume-skip passes `None` and discards). Returns how many
     /// logged records were produced; fewer than `max` means end of stream.
-    fn produce(&mut self, mut out: Option<&mut RecordBatch>, max: usize) -> usize {
-        let FleetSource {
-            world,
-            capture,
-            streams,
-            fixed,
-            fixed_scaled,
-            fixed_cur,
-            merge,
-            delivered,
-            prev_ts,
-            counters,
-            counter_of_stream,
-            pending_counts,
-        } = self;
-        let filter = FirewallCapture::new(&world.deployment, capture.clone());
-        let mut produced = 0usize;
-        while produced < max {
-            let Some(Reverse((_, si))) = merge.pop() else {
-                break;
-            };
-            let rec = if si < streams.len() {
-                let actor = &world.fleet.actors[si];
-                let Some(r) = streams[si].pop(actor) else {
-                    continue; // unreachable: frontier entries are confirmed
-                };
-                if let Some(ts) = streams[si].peek_ts(actor) {
-                    merge.push(Reverse((ts, si)));
-                }
-                r
-            } else {
-                let fi = si - streams.len();
-                let cur = &mut fixed_cur[fi];
-                let Some(&r) = fixed[fi].get(cur.pos) else {
-                    continue; // unreachable, as above
-                };
-                cur.rem -= 1;
-                if cur.rem == 0 {
-                    cur.pos += 1;
-                    cur.normalize(fixed[fi].len() as u64, fixed_scaled[fi]);
-                }
-                if let Some(next) = fixed[fi].get(cur.pos) {
-                    merge.push(Reverse((next.ts_ms, si)));
-                }
-                r
-            };
-            pending_counts[counter_of_stream[si]] += 1;
-            if filter.logs(&rec) {
-                produced += 1;
-                *delivered += 1;
-                *prev_ts = rec.ts_ms;
-                if let Some(batch) = out.as_deref_mut() {
-                    batch.push(rec);
-                }
-            }
-        }
-        for (c, n) in counters.iter().zip(pending_counts.iter_mut()) {
+    fn produce(&mut self, out: Option<&mut RecordBatch>, max: usize) -> usize {
+        let filter = FirewallCapture::new(&self.world.deployment, self.capture.clone());
+        let mut inputs = FleetInputs {
+            actors: &self.world.fleet.actors,
+            streams: &mut self.streams,
+            fixed: &mut self.fixed,
+            counter_of_stream: &self.counter_of_stream,
+            pending_counts: &mut self.pending_counts,
+            out,
+            prev_ts: &mut self.prev_ts,
+        };
+        let produced = drain_runs(&mut self.merge, &mut inputs, &filter, max);
+        self.delivered += produced as u64;
+        for (c, n) in self.counters.iter().zip(self.pending_counts.iter_mut()) {
             if *n > 0 {
                 c.add(*n);
                 *n = 0;
             }
         }
         produced
+    }
+}
+
+/// [`FleetSource`]'s merge inputs: every actor at its fleet index, then
+/// the artifact and noise streams.
+struct FleetInputs<'a> {
+    actors: &'a [ScannerActor],
+    streams: &'a mut [ActorStream],
+    fixed: &'a mut [FixedStream; 2],
+    counter_of_stream: &'a [usize],
+    pending_counts: &'a mut [u64],
+    out: Option<&'a mut RecordBatch>,
+    prev_ts: &'a mut u64,
+}
+
+impl RunInputs for FleetInputs<'_> {
+    type Key = usize;
+
+    fn peek_ts(&mut self, si: usize) -> Option<u64> {
+        match self.streams.get_mut(si) {
+            Some(s) => s.peek_ts(&self.actors[si]),
+            None => self.fixed[si - self.actors.len()].peek_ts(),
+        }
+    }
+
+    fn take(&mut self, si: usize, limit: u64) -> Option<(PacketRecord, u64)> {
+        match self.streams.get_mut(si) {
+            Some(s) => s.take(&self.actors[si], limit),
+            None => self.fixed[si - self.actors.len()].take(limit),
+        }
+    }
+
+    fn emitted(&mut self, si: usize, n: u64) {
+        self.pending_counts[self.counter_of_stream[si]] += n;
+    }
+
+    fn deliver(&mut self, _si: usize, rec: PacketRecord, n: usize) {
+        *self.prev_ts = rec.ts_ms;
+        if let Some(batch) = self.out.as_deref_mut() {
+            batch.push_repeated(rec, n);
+        }
     }
 }
 

@@ -28,6 +28,12 @@
 //!   subsequences of one totally ordered sequence reconstructs that
 //!   sequence exactly — no scheduling order can change which key is
 //!   smallest.
+//! - Both merges drain runs: each worker's local merge is
+//!   [`drain_runs`], the sequential source's own helper, and the consumer
+//!   keeps delivering from the chosen input while its next key stays
+//!   below the second-smallest head. A run ends exactly where a
+//!   record-at-a-time merge would switch inputs, so runs change the cost,
+//!   not the order.
 //! - The capture filter ([`FirewallCapture::logs`]) is a pure per-record
 //!   predicate, so applying it worker-side before the merge deletes the
 //!   same records it would delete after, and cuts channel volume.
@@ -64,8 +70,9 @@
 //! (runs in flight), and `scanners.parallel.buffered_records` (total
 //! buffered across all tiers).
 
+use crate::actor::ScannerActor;
 use crate::fleet::World;
-use crate::fleet_source::{fixed_streams, ActorStream, FixedCursor};
+use crate::fleet_source::{drain_runs, fixed_streams, ActorStream, FixedStream, RunInputs};
 use lumen6_telescope::{CaptureConfig, FirewallCapture};
 use lumen6_trace::{CodecError, PacketRecord, RecordBatch, Source, TracePosition};
 use std::cmp::Reverse;
@@ -125,6 +132,38 @@ struct Lane {
     done: bool,
 }
 
+/// A generator worker's merge inputs: its actors, keyed by (global stream
+/// index, local position).
+struct WorkerInputs<'a> {
+    actors: &'a [ScannerActor],
+    streams: &'a mut [ActorStream],
+    counter_of_pos: &'a [usize],
+    pending: &'a mut [u64],
+    run: &'a mut Run,
+}
+
+impl RunInputs for WorkerInputs<'_> {
+    type Key = (usize, usize);
+
+    fn peek_ts(&mut self, (ai, pos): (usize, usize)) -> Option<u64> {
+        self.streams[pos].peek_ts(&self.actors[ai])
+    }
+
+    fn take(&mut self, (ai, pos): (usize, usize), limit: u64) -> Option<(PacketRecord, u64)> {
+        self.streams[pos].take(&self.actors[ai], limit)
+    }
+
+    fn emitted(&mut self, (_, pos): (usize, usize), n: u64) {
+        self.pending[self.counter_of_pos[pos]] += n;
+    }
+
+    fn deliver(&mut self, (ai, _): (usize, usize), rec: PacketRecord, n: usize) {
+        self.run.recs.push_repeated(rec, n);
+        let len = self.run.si.len() + n;
+        self.run.si.resize(len, ai as u32);
+    }
+}
+
 /// Expands `actor_ids`' streams, locally merged by the global (timestamp,
 /// stream index) key, and ships filtered sorted runs until exhausted or
 /// the consumer disconnects.
@@ -142,13 +181,13 @@ fn generator_worker(
         .iter()
         .map(|&ai| ActorStream::new(&world.fleet.actors[ai], seed, intensity))
         .collect();
-    // Local merge frontier: (timestamp, global stream index, local
-    // position). The global index orders; the position locates.
-    let mut merge: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
+    // Local merge frontier: (timestamp, (global stream index, local
+    // position)). The global index orders; the position locates.
+    let mut merge: BinaryHeap<Reverse<(u64, (usize, usize))>> = BinaryHeap::new();
     for (pos, s) in streams.iter_mut().enumerate() {
         let ai = actor_ids[pos];
         if let Some(ts) = s.peek_ts(&world.fleet.actors[ai]) {
-            merge.push(Reverse((ts, ai, pos)));
+            merge.push(Reverse((ts, (ai, pos))));
         }
     }
     // Pre-filter emission counters, one per distinct target-strategy kind
@@ -178,23 +217,16 @@ fn generator_worker(
         };
         run.recs.clear();
         run.si.clear();
-        while run.recs.len() < RUN_RECORDS {
-            let Some(Reverse((_, ai, pos))) = merge.pop() else {
-                break; // this worker's actors are exhausted
-            };
-            let actor = &world.fleet.actors[ai];
-            let Some(rec) = streams[pos].pop(actor) else {
-                continue; // unreachable: frontier entries are confirmed
-            };
-            if let Some(ts) = streams[pos].peek_ts(actor) {
-                merge.push(Reverse((ts, ai, pos)));
-            }
-            pending[counter_of_pos[pos]] += 1;
-            if filter.logs(&rec) {
-                run.recs.push(rec);
-                run.si.push(ai as u32);
-            }
-        }
+        // The same run drain as the sequential source; fewer than
+        // RUN_RECORDS means this worker's actors are exhausted.
+        let mut inputs = WorkerInputs {
+            actors: &world.fleet.actors,
+            streams: &mut streams,
+            counter_of_pos: &counter_of_pos,
+            pending: &mut pending,
+            run: &mut run,
+        };
+        drain_runs(&mut merge, &mut inputs, &filter, RUN_RECORDS);
         for (c, n) in counters.iter().zip(pending.iter_mut()) {
             if *n > 0 {
                 c.add(*n);
@@ -231,10 +263,8 @@ pub struct ParallelFleetSource {
     gen_threads: usize,
     lanes: Vec<Lane>,
     /// Materialized artifact and noise streams (base size; intensity
-    /// repeats are applied by the cursors).
-    fixed: [Vec<PacketRecord>; 2],
-    fixed_scaled: [u64; 2],
-    fixed_cur: [FixedCursor; 2],
+    /// repeats are applied at delivery).
+    fixed: [FixedStream; 2],
     delivered: u64,
     prev_ts: u64,
     fixed_counters: [lumen6_obs::Counter; 2],
@@ -263,11 +293,6 @@ impl ParallelFleetSource {
         let world = Arc::new(world);
         let gen_threads = gen_threads.max(1).min(world.fleet.actors.len().max(1));
         let fixed = fixed_streams(&world);
-        let intensity = world.config().intensity;
-        let fixed_scaled = [
-            crate::fleet::scale_intensity(fixed[0].len() as u64, intensity),
-            crate::fleet::scale_intensity(fixed[1].len() as u64, intensity),
-        ];
         let reg = lumen6_obs::MetricsRegistry::global();
         let mut src = ParallelFleetSource {
             world,
@@ -275,8 +300,6 @@ impl ParallelFleetSource {
             gen_threads,
             lanes: Vec::new(),
             fixed,
-            fixed_scaled,
-            fixed_cur: [FixedCursor::default(), FixedCursor::default()],
             delivered: 0,
             prev_ts: 0,
             fixed_counters: [
@@ -362,9 +385,8 @@ impl ParallelFleetSource {
                 }
             })
             .collect();
-        self.fixed_cur = [FixedCursor::default(), FixedCursor::default()];
-        for (fi, stream) in self.fixed.iter().enumerate() {
-            self.fixed_cur[fi].normalize(stream.len() as u64, self.fixed_scaled[fi]);
+        for f in &mut self.fixed {
+            f.rewind();
         }
     }
 
@@ -479,6 +501,12 @@ impl ParallelFleetSource {
     /// Produces up to `max` logged records, appending to `out` when given
     /// (resume-skip passes `None`). Returns how many were produced; fewer
     /// than `max` means end of stream.
+    ///
+    /// Like [`drain_runs`], the merge works in runs: once the smallest
+    /// (timestamp, stream index) head is chosen, its input keeps
+    /// delivering while its next key stays below the second-smallest head
+    /// — a contiguous slice of a lane's run, or whole run-length entries
+    /// of a fixed stream.
     fn produce(&mut self, mut out: Option<&mut RecordBatch>, max: usize) -> usize {
         let world = Arc::clone(&self.world);
         // Consumer-side filter for the fixed streams only — actor records
@@ -489,28 +517,35 @@ impl ParallelFleetSource {
         let mut produced = 0usize;
         while produced < max {
             // The candidate with the smallest (timestamp, stream index)
-            // key is next — exactly the sequential merge order.
-            let mut best: Option<(u64, u32, usize)> = None;
+            // key is next — exactly the sequential merge order — and the
+            // second-smallest key bounds its run.
+            let mut best: Option<((u64, u32), usize)> = None;
+            let mut bound: Option<(u64, u32)> = None;
+            let mut offer = |key: (u64, u32), src: usize| match best {
+                Some((b, _)) if b < key => {
+                    if bound.is_none_or(|n| key < n) {
+                        bound = Some(key);
+                    }
+                }
+                _ => {
+                    bound = best.map(|(b, _)| b);
+                    best = Some((key, src));
+                }
+            };
             for li in 0..lanes {
                 if !self.ensure_head(li) {
                     continue;
                 }
                 let lane = &self.lanes[li];
                 let Some(run) = &lane.head else { continue };
-                let key = (run.recs.ts_ms()[lane.cursor], run.si[lane.cursor]);
-                if best.is_none_or(|(ts, si, _)| key < (ts, si)) {
-                    best = Some((key.0, key.1, li));
+                offer((run.recs.ts_ms()[lane.cursor], run.si[lane.cursor]), li);
+            }
+            for (fi, f) in self.fixed.iter().enumerate() {
+                if let Some(ts) = f.peek_ts() {
+                    offer((ts, (actors + fi) as u32), lanes + fi);
                 }
             }
-            for (fi, stream) in self.fixed.iter().enumerate() {
-                if let Some(r) = stream.get(self.fixed_cur[fi].pos) {
-                    let key = (r.ts_ms, (actors + fi) as u32);
-                    if best.is_none_or(|(ts, si, _)| key < (ts, si)) {
-                        best = Some((key.0, key.1, lanes + fi));
-                    }
-                }
-            }
-            let Some((_, _, src)) = best else {
+            let Some((_, src)) = best else {
                 break; // all lanes and fixed streams exhausted
             };
             if src < lanes {
@@ -518,36 +553,44 @@ impl ParallelFleetSource {
                 let Some(run) = &lane.head else {
                     continue; // unreachable: ensure_head confirmed it
                 };
-                let rec = run.recs.get(lane.cursor);
-                lane.cursor += 1;
-                produced += 1;
-                self.delivered += 1;
-                self.prev_ts = rec.ts_ms;
+                let start = lane.cursor;
+                let limit = run.recs.len().min(start + (max - produced));
+                let (ts, si) = (run.recs.ts_ms(), &run.si);
+                let mut end = start + 1;
+                while end < limit && bound.is_none_or(|b| (ts[end], si[end]) < b) {
+                    end += 1;
+                }
+                lane.cursor = end;
+                produced += end - start;
+                self.prev_ts = ts[end - 1];
                 if let Some(batch) = out.as_deref_mut() {
-                    batch.push(rec);
+                    batch.extend_from_range(&run.recs, start..end);
                 }
             } else {
                 let fi = src - lanes;
-                let cur = &mut self.fixed_cur[fi];
-                let Some(&rec) = self.fixed[fi].get(cur.pos) else {
-                    continue; // unreachable: the scan confirmed it
-                };
-                cur.rem -= 1;
-                if cur.rem == 0 {
-                    cur.pos += 1;
-                    cur.normalize(self.fixed[fi].len() as u64, self.fixed_scaled[fi]);
-                }
-                self.fixed_pending[fi] += 1;
-                if filter.logs(&rec) {
-                    produced += 1;
-                    self.delivered += 1;
-                    self.prev_ts = rec.ts_ms;
-                    if let Some(batch) = out.as_deref_mut() {
-                        batch.push(rec);
+                let si = (actors + fi) as u32;
+                let f = &mut self.fixed[fi];
+                while let Some((rec, n)) = f.take((max - produced) as u64) {
+                    self.fixed_pending[fi] += n;
+                    if filter.logs(&rec) {
+                        // n ≤ max - produced, a usize.
+                        let n = n as usize;
+                        produced += n;
+                        self.prev_ts = rec.ts_ms;
+                        if let Some(batch) = out.as_deref_mut() {
+                            batch.push_repeated(rec, n);
+                        }
+                    }
+                    let next_below_bound = f
+                        .peek_ts()
+                        .is_some_and(|ts| bound.is_none_or(|b| (ts, si) < b));
+                    if produced == max || !next_below_bound {
+                        break;
                     }
                 }
             }
         }
+        self.delivered += produced as u64;
         for fi in 0..2 {
             if self.fixed_pending[fi] > 0 {
                 self.fixed_counters[fi].add(self.fixed_pending[fi]);
@@ -702,6 +745,56 @@ mod tests {
             .expect("fused resume of parallel position");
         head.extend(drain(&mut fused, 333));
         assert_eq!(head, full);
+    }
+
+    #[test]
+    fn resume_inside_run_length_entries_continues_exactly() {
+        // At intensity 3 every probe and every fixed-stream record is one
+        // 3-copy entry, so the delivered stream is a sequence of triples
+        // and any offset not divisible by 3 splits an entry. Fill sizes 1,
+        // 7 and 97 stop there; a fresh source of either kind resumed at
+        // that position must finish the split entry and continue exactly.
+        let cfg = tiny_config(42, 3.0, 6);
+        let expected = World::build(cfg.clone()).cdn_trace();
+        assert!(expected.len() > 3_000, "trace too small to be meaningful");
+        let sources: [fn(World) -> Box<dyn Source>; 2] = [
+            |w| Box::new(FleetSource::new(w)),
+            |w| Box::new(ParallelFleetSource::new(w, 2)),
+        ];
+        for (kind, make) in sources.iter().enumerate() {
+            for (max, fills) in [(1usize, 1_000), (7, 151), (97, 11)] {
+                let mut straight = make(World::build(cfg.clone()));
+                assert_eq!(
+                    drain(straight.as_mut(), max),
+                    expected,
+                    "straight drain, source {kind}, max={max}"
+                );
+                let mut src = make(World::build(cfg.clone()));
+                let mut batch = RecordBatch::new();
+                let mut head = Vec::new();
+                for _ in 0..fills {
+                    src.fill(&mut batch, max).expect("fill");
+                    head.extend(batch.iter());
+                }
+                let pos = src.position();
+                let at = usize::try_from(pos.offset).expect("offset fits");
+                assert_eq!(at, max * fills);
+                assert!(
+                    at % 3 != 0 && expected[at - 1] == expected[at],
+                    "position {at} does not split an entry"
+                );
+                for (resumed_kind, fresh_make) in sources.iter().enumerate() {
+                    let mut fresh = fresh_make(World::build(cfg.clone()));
+                    fresh.resume(pos).expect("resume");
+                    let mut all = head.clone();
+                    all.extend(drain(fresh.as_mut(), max));
+                    assert_eq!(
+                        all, expected,
+                        "source {kind} -> {resumed_kind} resumed at {at}, max={max}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -86,6 +86,11 @@ pub fn mapped_machines(
 /// Sources are minted fresh per day from residential-looking /64s outside
 /// the CDN space (high bits 0x26xx, eyeball-style), so day-over-day they
 /// look like a churning population.
+///
+/// The output is time-sorted. Every record falls inside the day that
+/// generated it (timestamps are clamped to the day's last millisecond), so
+/// sorting each day's records on its own yields exactly the stable global
+/// time-sort, at a fraction of the cost on long windows.
 pub fn generate(
     deployment: &CdnDeployment,
     config: &ArtifactConfig,
@@ -96,39 +101,52 @@ pub fn generate(
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xa27f_ac75);
     let mut out = Vec::new();
     for day in day_start..day_end {
-        let t0 = day * DAY_MS;
-        for kind in 0..3 {
-            let (count, proto, dport, len) = match kind {
-                0 => (config.smtp_sources_per_day, Transport::Tcp, 25u16, 80u16),
-                1 => (config.isakmp_sources_per_day, Transport::Udp, 500, 120),
-                _ => (config.netbios_sources_per_day, Transport::Udp, 137, 92),
-            };
-            for _ in 0..count {
-                // Residential-looking source /64 with a random host IID.
-                let net64: u64 = 0x2600_0000_0000_0000 | (rng.gen::<u64>() & 0x00ff_ffff_ffff_0000);
-                let src = ((net64 as u128) << 64) | u128::from(rng.gen::<u64>());
-                let dsts = mapped_machines(deployment, src, day, config.mapped_machines);
-                // Retries spread over the day.
-                for dst in dsts {
-                    let base = t0 + rng.gen_range(0..4 * HOUR_MS);
-                    for k in 0..config.retries_per_dst {
-                        let ts = base + k * rng.gen_range(60_000u64..120_000);
-                        out.push(PacketRecord {
-                            ts_ms: ts.min(t0 + DAY_MS - 1),
-                            src,
-                            dst,
-                            proto,
-                            sport: rng.gen_range(1024..65535),
-                            dport,
-                            len,
-                        });
-                    }
+        let begin = out.len();
+        push_day(&mut rng, deployment, config, day, &mut out);
+        lumen6_trace::sort_by_time(&mut out[begin..]);
+    }
+    out
+}
+
+/// Appends one day's artifact records to `out`, unsorted, drawing from
+/// `rng` in generation order.
+fn push_day(
+    rng: &mut SmallRng,
+    deployment: &CdnDeployment,
+    config: &ArtifactConfig,
+    day: u64,
+    out: &mut Vec<PacketRecord>,
+) {
+    let t0 = day * DAY_MS;
+    for kind in 0..3 {
+        let (count, proto, dport, len) = match kind {
+            0 => (config.smtp_sources_per_day, Transport::Tcp, 25u16, 80u16),
+            1 => (config.isakmp_sources_per_day, Transport::Udp, 500, 120),
+            _ => (config.netbios_sources_per_day, Transport::Udp, 137, 92),
+        };
+        for _ in 0..count {
+            // Residential-looking source /64 with a random host IID.
+            let net64: u64 = 0x2600_0000_0000_0000 | (rng.gen::<u64>() & 0x00ff_ffff_ffff_0000);
+            let src = ((net64 as u128) << 64) | u128::from(rng.gen::<u64>());
+            let dsts = mapped_machines(deployment, src, day, config.mapped_machines);
+            // Retries spread over the day.
+            for dst in dsts {
+                let base = t0 + rng.gen_range(0..4 * HOUR_MS);
+                for k in 0..config.retries_per_dst {
+                    let ts = base + k * rng.gen_range(60_000u64..120_000);
+                    out.push(PacketRecord {
+                        ts_ms: ts.min(t0 + DAY_MS - 1),
+                        src,
+                        dst,
+                        proto,
+                        sport: rng.gen_range(1024..65535),
+                        dport,
+                        len,
+                    });
                 }
             }
         }
     }
-    lumen6_trace::sort_by_time(&mut out);
-    out
 }
 
 #[cfg(test)]
@@ -201,6 +219,52 @@ mod tests {
         let recs = generate(&dep, &ArtifactConfig::default(), 0, 1, 7);
         let report = lumen6_detect::detector::detect(&recs, ScanDetectorConfig::default());
         assert_eq!(report.scans(), 0);
+    }
+
+    #[test]
+    fn per_day_sort_equals_global_stable_sort() {
+        let dep = deployment();
+        let heavy = ArtifactConfig {
+            smtp_sources_per_day: 2,
+            isakmp_sources_per_day: 1,
+            netbios_sources_per_day: 1,
+            mapped_machines: 3,
+            // 1000 retries at 60-120 s spacing run far past the day's end.
+            retries_per_dst: 1_000,
+        };
+        for (config, days, clamps) in [
+            (ArtifactConfig::default(), 2..6, false),
+            (heavy, 3..6, true),
+        ] {
+            let mut rng = SmallRng::seed_from_u64(9 ^ 0xa27f_ac75);
+            let mut unsorted = Vec::new();
+            let mut clamped = 0usize;
+            for day in days.clone() {
+                let begin = unsorted.len();
+                push_day(&mut rng, &dep, &config, day, &mut unsorted);
+                let (t0, t1) = (day * DAY_MS, (day + 1) * DAY_MS);
+                assert!(unsorted.len() > begin, "day {day} generated nothing");
+                assert!(
+                    unsorted[begin..]
+                        .iter()
+                        .all(|r| (t0..t1).contains(&r.ts_ms)),
+                    "a record of day {day} left its day"
+                );
+                clamped += unsorted[begin..]
+                    .iter()
+                    .filter(|r| r.ts_ms == t1 - 1)
+                    .count();
+            }
+            assert_eq!(clamped > 0, clamps, "end-of-day clamp firings: {clamped}");
+            let mut global = unsorted;
+            global.sort_by_key(|r| r.ts_ms); // stable
+            assert_eq!(
+                generate(&dep, &config, days.start, days.end, 9),
+                global,
+                "retries_per_dst={}",
+                config.retries_per_dst
+            );
+        }
     }
 
     #[test]

@@ -78,6 +78,21 @@ impl RecordBatch {
         self.len.push(r.len);
     }
 
+    /// Appends `n` copies of one record — seven column fills, the landing
+    /// path of fused generation, where intensity repeats of one probe are
+    /// delivered as a single run-length take. Equivalent to `n` calls to
+    /// [`push`](RecordBatch::push); `n = 0` is a no-op.
+    pub fn push_repeated(&mut self, r: PacketRecord, n: usize) {
+        let len = self.ts_ms.len() + n;
+        self.ts_ms.resize(len, r.ts_ms);
+        self.src.resize(len, r.src);
+        self.dst.resize(len, r.dst);
+        self.proto.resize(len, r.proto);
+        self.sport.resize(len, r.sport);
+        self.dport.resize(len, r.dport);
+        self.len.resize(len, r.len);
+    }
+
     /// Appends every record of `other` — seven contiguous column copies,
     /// the fast path of the sharded router when an entire input batch
     /// routes to one shard (run-clustered traffic).
@@ -89,6 +104,20 @@ impl RecordBatch {
         self.sport.extend_from_slice(&other.sport);
         self.dport.extend_from_slice(&other.dport);
         self.len.extend_from_slice(&other.len);
+    }
+
+    /// Appends rows `range` of `other` — seven contiguous column copies,
+    /// the path by which the parallel fused merge hands a lane's sorted
+    /// run to the consumer. Panics if the range is out of bounds, like
+    /// slice indexing.
+    pub fn extend_from_range(&mut self, other: &RecordBatch, range: std::ops::Range<usize>) {
+        self.ts_ms.extend_from_slice(&other.ts_ms[range.clone()]);
+        self.src.extend_from_slice(&other.src[range.clone()]);
+        self.dst.extend_from_slice(&other.dst[range.clone()]);
+        self.proto.extend_from_slice(&other.proto[range.clone()]);
+        self.sport.extend_from_slice(&other.sport[range.clone()]);
+        self.dport.extend_from_slice(&other.dport[range.clone()]);
+        self.len.extend_from_slice(&other.len[range]);
     }
 
     /// Appends the rows of `other` selected by `idxs`, one column at a
@@ -233,6 +262,29 @@ mod tests {
     }
 
     #[test]
+    fn push_repeated_equals_n_pushes() {
+        let r = PacketRecord::udp(77, 0x2001_0db8, 0xdd07, 5353, 137, 92);
+        for n in [0usize, 1, 2, 5, 64] {
+            // Start from a non-empty batch so the fill appends rather
+            // than initializes.
+            let mut fill: RecordBatch = (0..3).map(rec).collect();
+            let mut pushed = fill.clone();
+            fill.push_repeated(r, n);
+            for _ in 0..n {
+                pushed.push(r);
+            }
+            // Derived equality compares every column, not just the
+            // exposed ones.
+            assert_eq!(fill, pushed, "n={n}");
+            assert_eq!(fill.len(), 3 + n);
+            assert!(fill.iter().skip(3).all(|x| x == r));
+        }
+        let mut empty = RecordBatch::new();
+        empty.push_repeated(r, 0);
+        assert_eq!(empty, RecordBatch::new(), "n = 0 is a no-op");
+    }
+
+    #[test]
     fn extend_from_batch_appends_all_rows() {
         let a: RecordBatch = (0..5).map(rec).collect();
         let b: RecordBatch = (5..9).map(rec).collect();
@@ -241,6 +293,17 @@ mod tests {
         out.extend_from_batch(&b);
         let back: Vec<PacketRecord> = out.iter().collect();
         let want: Vec<PacketRecord> = (0..9).map(rec).collect();
+        assert_eq!(back, want);
+    }
+
+    #[test]
+    fn extend_from_range_appends_the_slice() {
+        let src: RecordBatch = (0..10).map(rec).collect();
+        let mut out: RecordBatch = (100..102).map(rec).collect();
+        out.extend_from_range(&src, 3..7);
+        out.extend_from_range(&src, 9..9);
+        let back: Vec<PacketRecord> = out.iter().collect();
+        let want: Vec<PacketRecord> = [100, 101, 3, 4, 5, 6].into_iter().map(rec).collect();
         assert_eq!(back, want);
     }
 
