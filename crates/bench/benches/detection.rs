@@ -13,8 +13,8 @@ use lumen6_detect::{
     SessionReport,
 };
 use lumen6_scanners::{FleetSource, ParallelFleetSource};
-use lumen6_trace::codec::{decode, decode_chunks, encode};
-use lumen6_trace::{MaterializedSource, PacketRecord, RecordBatch, Source};
+use lumen6_trace::codec::{decode, encode};
+use lumen6_trace::{MaterializedSource, PacketRecord, RecordBatch, Source, TraceReader};
 use std::time::Instant;
 
 /// The multi-level workload both pipeline benches run: the paper's three
@@ -174,11 +174,10 @@ fn streaming_vs_materialized(c: &mut Criterion) {
     });
     g.bench_function("streaming", |b| {
         b.iter(|| {
-            let mut chunks = decode_chunks(black_box(&bytes[..]), BATCH).expect("header");
+            let mut reader = TraceReader::new(black_box(&bytes[..])).expect("header");
             let mut det = MultiLevelDetector::new(&LEVELS, ScanDetectorConfig::default());
             let mut batch = RecordBatch::with_capacity(BATCH);
-            while let Some(res) = chunks.next_batch(&mut batch) {
-                res.expect("chunk");
+            while reader.fill(&mut batch, BATCH).expect("batch") > 0 {
                 det.observe_batch(&batch);
             }
             det.finish()
@@ -332,11 +331,10 @@ fn emit_bench_json(_c: &mut Criterion) {
         black_box(detect_multi_batched(&recs));
     });
     let streaming_s = median_secs(RUNS, || {
-        let mut chunks = decode_chunks(&bytes[..], BATCH).expect("header");
+        let mut reader = TraceReader::new(&bytes[..]).expect("header");
         let mut det = MultiLevelDetector::new(&LEVELS, ScanDetectorConfig::default());
         let mut batch = RecordBatch::with_capacity(BATCH);
-        while let Some(res) = chunks.next_batch(&mut batch) {
-            res.expect("chunk");
+        while reader.fill(&mut batch, BATCH).expect("batch") > 0 {
             det.observe_batch(&batch);
         }
         black_box(det.finish());

@@ -52,8 +52,8 @@ use lumen6_detect::{
 };
 use lumen6_scanners::{FleetSource, ParallelFleetSource};
 use lumen6_serve::{Daemon, RunConfig, ServeConfig, TenantSpec};
-use lumen6_trace::codec::{decode, decode_chunks, encode};
-use lumen6_trace::{PacketRecord, RecordBatch};
+use lumen6_trace::codec::{decode, encode};
+use lumen6_trace::{PacketRecord, RecordBatch, TraceReader};
 use serde::value::Value;
 use std::time::Instant;
 
@@ -158,11 +158,10 @@ fn main() {
         detect_batched(&recs);
     });
     let streaming_s = median_secs(|| {
-        let mut chunks = decode_chunks(&bytes[..], BATCH).expect("header");
+        let mut reader = TraceReader::new(&bytes[..]).expect("header");
         let mut det = MultiLevelDetector::new(&LEVELS, ScanDetectorConfig::default());
         let mut batch = RecordBatch::with_capacity(BATCH);
-        while let Some(res) = chunks.next_batch(&mut batch) {
-            res.expect("chunk");
+        while reader.fill(&mut batch, BATCH).expect("batch") > 0 {
             det.observe_batch(&batch);
         }
         std::hint::black_box(det.finish());

@@ -141,8 +141,7 @@ fn load_trace(args: &Args) -> Result<Vec<PacketRecord>, CliError> {
 }
 
 fn load_trace_file(path: &str) -> Result<Vec<PacketRecord>, CliError> {
-    let reader = TraceReader::from_reader(BufReader::new(File::open(path)?))?;
-    let records: Result<Vec<_>, _> = reader.collect();
+    let records: Result<Vec<_>, _> = TraceReader::new(File::open(path)?)?.collect();
     Ok(records?)
 }
 

@@ -31,7 +31,7 @@
 use crate::toml;
 use lumen6_detect::{
     Backend, CheckpointPolicy, DetectorBuilder, ScanDetectorConfig, Session, SessionConfig,
-    ShardPlan, SketchConfig,
+    SketchConfig,
 };
 use lumen6_scanners::{FleetConfig, FleetSource, ParallelFleetSource, World};
 use lumen6_trace::{CodecError, FileStreamSource, Source, TailSource};
@@ -213,16 +213,11 @@ impl RunConfig {
         }
     }
 
-    /// The dispatch backend: `sequential` wins, then an explicit shard
-    /// count, then one shard per hardware thread.
+    /// The dispatch backend, resolved by [`Backend::from_flags`]:
+    /// `sequential` wins, then an explicit shard count (`threads = 0` means
+    /// one shard per hardware thread).
     pub fn backend(&self) -> Backend {
-        if self.sequential {
-            Backend::Sequential
-        } else if self.threads > 0 {
-            Backend::Sharded(ShardPlan::with_shards(self.threads))
-        } else {
-            Backend::Sharded(ShardPlan::default())
-        }
+        Backend::from_flags(Some(self.threads), self.sequential)
     }
 
     /// The session-layer configuration.
@@ -419,6 +414,7 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumen6_detect::ShardPlan;
 
     #[test]
     fn run_config_defaults_match_cli_defaults() {

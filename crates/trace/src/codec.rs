@@ -22,7 +22,7 @@
 
 use crate::batch::RecordBatch;
 use crate::record::{PacketRecord, Transport};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use lumen6_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -66,7 +66,7 @@ impl Drop for DecodeStats {
 
 /// Counts one decode error under `trace.codec.errors.<variant>`. Errors are
 /// rare, so these hit the global registry directly.
-fn note_decode_error(e: &CodecError) {
+pub(crate) fn note_decode_error(e: &CodecError) {
     MetricsRegistry::global()
         .counter(&format!("trace.codec.errors.{}", e.kind()))
         .inc();
@@ -158,25 +158,6 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let byte = buf.get_u8();
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(CodecError::VarintOverflow);
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
 /// Streaming writer for the `L6TR` format.
 ///
 /// Records must be appended in non-decreasing timestamp order; `append`
@@ -247,121 +228,13 @@ pub fn encode(records: &[PacketRecord]) -> Result<Vec<u8>, CodecError> {
     w.finish()
 }
 
-/// Streaming reader: an iterator of `Result<PacketRecord, CodecError>`.
-///
-/// Reads the whole source eagerly into memory (traces are modest) then
-/// decodes incrementally; decode errors surface on the failing record.
-#[derive(Debug)]
-pub struct TraceReader {
-    buf: Bytes,
-    prev_ts: u64,
-    failed: bool,
-    stats: DecodeStats,
-}
-
-impl TraceReader {
-    /// Creates a reader over an in-memory buffer, validating the header.
-    pub fn from_bytes(data: impl Into<Bytes>) -> Result<Self, CodecError> {
-        let mut buf: Bytes = data.into();
-        let total_bytes = buf.remaining() as u64;
-        if buf.remaining() < 5 {
-            let e = CodecError::Truncated;
-            note_decode_error(&e);
-            return Err(e);
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            let e = CodecError::BadMagic(magic);
-            note_decode_error(&e);
-            return Err(e);
-        }
-        let version = buf.get_u8();
-        if version != VERSION {
-            let e = CodecError::BadVersion(version);
-            note_decode_error(&e);
-            return Err(e);
-        }
-        Ok(TraceReader {
-            buf,
-            prev_ts: 0,
-            failed: false,
-            stats: DecodeStats {
-                bytes: total_bytes,
-                ..DecodeStats::default()
-            },
-        })
-    }
-
-    /// Creates a reader from any `Read` source (e.g. a file).
-    pub fn from_reader<R: Read>(mut src: R) -> Result<Self, CodecError> {
-        let mut data = Vec::new();
-        src.read_to_end(&mut data)?;
-        Self::from_bytes(data)
-    }
-
-    fn next_record(&mut self) -> Result<Option<PacketRecord>, CodecError> {
-        if !self.buf.has_remaining() {
-            return Ok(None);
-        }
-        let delta = get_varint(&mut self.buf)?;
-        if self.buf.remaining() < 33 {
-            return Err(CodecError::Truncated);
-        }
-        let src = self.buf.get_u128();
-        let dst = self.buf.get_u128();
-        let proto = Transport::from_byte(self.buf.get_u8());
-        let sport = get_varint(&mut self.buf)?;
-        let dport = get_varint(&mut self.buf)?;
-        let len = get_varint(&mut self.buf)?;
-        if sport > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("sport", sport));
-        }
-        if dport > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("dport", dport));
-        }
-        if len > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("len", len));
-        }
-        self.prev_ts += delta;
-        Ok(Some(PacketRecord {
-            ts_ms: self.prev_ts,
-            src,
-            dst,
-            proto,
-            sport: sport as u16,
-            dport: dport as u16,
-            len: len as u16,
-        }))
-    }
-}
-
-impl Iterator for TraceReader {
-    type Item = Result<PacketRecord, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.next_record() {
-            Ok(Some(r)) => {
-                self.stats.records += 1;
-                Some(Ok(r))
-            }
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                note_decode_error(&e);
-                Some(Err(e))
-            }
-        }
-    }
-}
-
 /// Decodes a whole buffer, failing on the first malformed record.
 pub fn decode(data: &[u8]) -> Result<Vec<PacketRecord>, CodecError> {
-    TraceReader::from_bytes(data.to_vec())?.collect()
+    TraceReader::new(data)?.collect()
 }
+
+/// Length of the `L6TR` header: the magic plus the version byte.
+pub(crate) const HEADER_LEN: usize = MAGIC.len() + 1;
 
 /// Upper bound on one encoded record: 10-byte timestamp varint, two 16-byte
 /// addresses, protocol byte, and three ≤3-byte port/length varints.
@@ -369,6 +242,20 @@ pub(crate) const MAX_RECORD_LEN: usize = 10 + 16 + 16 + 1 + 3 * 3;
 
 /// Refill granularity of the streaming reader.
 const STREAM_BUF_LEN: usize = 64 * 1024;
+
+/// Validates an `L6TR` header: the one header check, shared by
+/// [`TraceReader`] and the tailing source.
+pub(crate) fn check_header(header: &[u8; HEADER_LEN]) -> Result<(), CodecError> {
+    let [m0, m1, m2, m3, version] = *header;
+    let magic = [m0, m1, m2, m3];
+    if &magic != MAGIC {
+        return Err(CodecError::BadMagic(magic));
+    }
+    if version != VERSION {
+        return Err(CodecError::BadVersion(version));
+    }
+    Ok(())
+}
 
 fn slice_varint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
@@ -400,13 +287,20 @@ fn slice_u128(data: &[u8], pos: &mut usize) -> Result<u128, CodecError> {
 }
 
 /// Decodes one record from `data` at `*pos`, delta-decoding its timestamp
-/// against `*prev_ts`. On success the cursor and the timestamp base both
-/// advance past the record. [`CodecError::FieldOverflow`] also advances
-/// them (every field of the offending record was consumed before range
-/// validation failed), so permissive callers can skip the record and stay
-/// aligned — the same contract [`StreamingTraceReader`] relies on. Framing
-/// errors (`Truncated`, `VarintOverflow`) leave both untouched, so a
-/// tailing caller can retry the same boundary once more bytes arrive.
+/// against `*prev_ts` — the one `L6TR` record parser, behind both
+/// [`TraceReader`] and the tailing source's read window.
+///
+/// On success the cursor and the timestamp base both advance past the
+/// record. [`CodecError::FieldOverflow`] also advances them (every field of
+/// the offending record was consumed before range validation failed), so
+/// permissive callers can skip the record and stay aligned. Framing errors
+/// (`Truncated`, `VarintOverflow`) leave both untouched, so a tailing
+/// caller can retry the same boundary once more bytes arrive.
+///
+/// Forced inline: with plain `#[inline]` the compiler keeps it out of line
+/// in the reader's per-record loop, which costs about a quarter of
+/// file-decode throughput.
+#[inline(always)]
 pub(crate) fn decode_record_at(
     data: &[u8],
     pos: &mut usize,
@@ -446,7 +340,7 @@ pub(crate) fn decode_record_at(
 /// A resumable decode position inside an `L6TR` stream: the byte offset of
 /// the next un-decoded record plus the delta-decoding state at that point.
 /// Recorded in session checkpoints so a killed run can reopen the trace,
-/// [`StreamingTraceReader::resume`] at this position, and continue decoding
+/// [`TraceReader::resume`] at this position, and continue decoding
 /// mid-file as if never interrupted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TracePosition {
@@ -458,22 +352,29 @@ pub struct TracePosition {
 
 /// Streaming `L6TR` reader over any [`Read`] source in bounded memory.
 ///
-/// Unlike [`TraceReader::from_reader`], which materializes the whole file,
-/// this keeps only a refill window of [`STREAM_BUF_LEN`] bytes plus at most
-/// one partial record, so decoding a multi-gigabyte trace costs the same
-/// memory as decoding a kilobyte one. Yields
-/// `Result<PacketRecord, CodecError>` and fuses after the first error —
-/// unless [`permissive`](Self::permissive) mode is on, in which case
-/// record-local errors ([`CodecError::is_recoverable`]) are skipped and
-/// counted instead of ending the stream.
+/// Only a 64 KiB refill window plus at most one partial record is ever
+/// buffered, so decoding a multi-gigabyte trace costs the same memory as
+/// decoding a kilobyte one. Two ways to drain it:
+///
+/// - as an [`Iterator`] of `Result<PacketRecord, CodecError>`, which fuses
+///   after the first error;
+/// - batch-wise with [`fill`](Self::fill), which delivers the records
+///   decoded before an error first and the error on the next call.
+///
+/// In [`permissive`](Self::permissive) mode, record-local errors
+/// ([`CodecError::is_recoverable`]) are skipped and counted instead of
+/// ending the stream.
 #[derive(Debug)]
-pub struct StreamingTraceReader<R: Read> {
+pub struct TraceReader<R: Read> {
     src: R,
     buf: Vec<u8>,
     pos: usize,
     eof: bool,
     prev_ts: u64,
     failed: bool,
+    /// An error [`fill`](Self::fill) held back so the records decoded
+    /// before it could be delivered first.
+    pending_err: Option<CodecError>,
     /// Total bytes pulled from `src`, header included.
     fed: u64,
     /// Skip recoverable per-record errors instead of fusing.
@@ -483,23 +384,20 @@ pub struct StreamingTraceReader<R: Read> {
     stats: DecodeStats,
 }
 
-impl<R: Read> StreamingTraceReader<R> {
-    /// Validates the header and prepares for streaming decode.
+impl<R: Read> TraceReader<R> {
+    /// Validates the header and prepares for streaming decode. Reads only
+    /// the header, so opening many readers stays cheap: the refill window
+    /// fills on the first decode.
     pub fn new(mut src: R) -> Result<Self, CodecError> {
-        let mut header = [0u8; 5];
-        read_exactly(&mut src, &mut header).inspect_err(note_decode_error)?;
-        let magic = [header[0], header[1], header[2], header[3]];
-        if &magic != MAGIC {
-            let e = CodecError::BadMagic(magic);
-            note_decode_error(&e);
-            return Err(e);
-        }
-        if header[4] != VERSION {
-            let e = CodecError::BadVersion(header[4]);
-            note_decode_error(&e);
-            return Err(e);
-        }
-        Ok(Self::raw(src, header.len() as u64, 0))
+        let mut header = [0u8; HEADER_LEN];
+        src.read_exact(&mut header)
+            .map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => CodecError::Truncated,
+                _ => CodecError::Io(e),
+            })
+            .and_then(|()| check_header(&header))
+            .inspect_err(note_decode_error)?;
+        Ok(Self::raw(src, HEADER_LEN as u64, 0))
     }
 
     /// Resumes decoding mid-stream at a [`TracePosition`] previously taken
@@ -516,13 +414,14 @@ impl<R: Read> StreamingTraceReader<R> {
     }
 
     fn raw(src: R, fed: u64, prev_ts: u64) -> Self {
-        StreamingTraceReader {
+        TraceReader {
             src,
             buf: Vec::with_capacity(STREAM_BUF_LEN + MAX_RECORD_LEN),
             pos: 0,
             eof: false,
             prev_ts,
             failed: false,
+            pending_err: None,
             fed,
             permissive: false,
             skipped: 0,
@@ -536,7 +435,7 @@ impl<R: Read> StreamingTraceReader<R> {
     /// Enables or disables permissive mode: recoverable per-record errors
     /// (field overflows) are skipped — counted in [`skipped`](Self::skipped)
     /// and under `trace.codec.skipped.<kind>` — instead of fusing the
-    /// iterator. Framing errors still end the stream.
+    /// reader. Framing errors still end the stream.
     pub fn permissive(mut self, yes: bool) -> Self {
         self.permissive = yes;
         self
@@ -556,6 +455,32 @@ impl<R: Read> StreamingTraceReader<R> {
             offset: self.fed - (self.buf.len() - self.pos) as u64,
             prev_ts: self.prev_ts,
         }
+    }
+
+    /// Clears `out` and decodes up to `max` records into it, reusing its
+    /// column capacity; returns how many, `Ok(0)` at end of stream.
+    ///
+    /// Records decoded before an error are delivered first as a short
+    /// batch, the error surfaces on the next call, and the reader fuses
+    /// after it: every later call returns `Ok(0)`. This is the
+    /// [`Source::fill`](crate::Source::fill) contract.
+    pub fn fill(&mut self, out: &mut RecordBatch, max: usize) -> Result<usize, CodecError> {
+        out.clear();
+        if let Some(e) = self.pending_err.take() {
+            return Err(e);
+        }
+        while out.len() < max {
+            match self.next() {
+                Some(Ok(r)) => out.push(r),
+                Some(Err(e)) if out.is_empty() => return Err(e),
+                Some(Err(e)) => {
+                    self.pending_err = Some(e);
+                    break;
+                }
+                None => break,
+            }
+        }
+        Ok(out.len())
     }
 
     /// Ensures a whole record's worth of bytes is buffered unless the source
@@ -598,53 +523,13 @@ impl<R: Read> StreamingTraceReader<R> {
         if self.pos == self.buf.len() {
             return Ok(None);
         }
-        // At least MAX_RECORD_LEN bytes remain, or the source hit EOF: any
-        // out-of-bytes condition below is genuine truncation.
-        let data = &self.buf[..];
-        let mut pos = self.pos;
-        let delta = slice_varint(data, &mut pos)?;
-        let src = slice_u128(data, &mut pos)?;
-        let dst = slice_u128(data, &mut pos)?;
-        let proto = Transport::from_byte(*data.get(pos).ok_or(CodecError::Truncated)?);
-        pos += 1;
-        let sport = slice_varint(data, &mut pos)?;
-        let dport = slice_varint(data, &mut pos)?;
-        let len = slice_varint(data, &mut pos)?;
-        // All fields are consumed: commit the position and timestamp base
-        // before validation, so a field-overflow error leaves the reader
-        // aligned on the next record (what permissive skip relies on).
-        self.pos = pos;
-        self.prev_ts += delta;
-        if sport > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("sport", sport));
-        }
-        if dport > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("dport", dport));
-        }
-        if len > u64::from(u16::MAX) {
-            return Err(CodecError::FieldOverflow("len", len));
-        }
-        Ok(Some(PacketRecord {
-            ts_ms: self.prev_ts,
-            src,
-            dst,
-            proto,
-            sport: sport as u16,
-            dport: dport as u16,
-            len: len as u16,
-        }))
+        // At least MAX_RECORD_LEN bytes remain, or the source hit EOF: an
+        // out-of-bytes error here is genuine truncation.
+        decode_record_at(&self.buf, &mut self.pos, &mut self.prev_ts).map(Some)
     }
 }
 
-fn read_exactly<R: Read>(src: &mut R, out: &mut [u8]) -> Result<(), CodecError> {
-    match src.read_exact(out) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(CodecError::Truncated),
-        Err(e) => Err(e.into()),
-    }
-}
-
-impl<R: Read> Iterator for StreamingTraceReader<R> {
+impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<PacketRecord, CodecError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -672,129 +557,6 @@ impl<R: Read> Iterator for StreamingTraceReader<R> {
                 }
             }
         }
-    }
-}
-
-/// Streams a trace as chunks of at most `chunk_len` records, decoding from
-/// `src` incrementally so peak memory is `O(chunk_len)`, not trace size.
-///
-/// Each item is one chunk; a decode error surfaces as the final item after
-/// the records that preceded it (possibly as a partial chunk), and the
-/// iterator fuses.
-pub fn decode_chunks<R: Read>(src: R, chunk_len: usize) -> Result<TraceChunks<R>, CodecError> {
-    Ok(TraceChunks {
-        inner: StreamingTraceReader::new(src)?,
-        chunk_len: chunk_len.max(1),
-        pending_err: None,
-        done: false,
-    })
-}
-
-/// Iterator returned by [`decode_chunks`].
-#[derive(Debug)]
-pub struct TraceChunks<R: Read> {
-    inner: StreamingTraceReader<R>,
-    chunk_len: usize,
-    pending_err: Option<CodecError>,
-    done: bool,
-}
-
-impl<R: Read> TraceChunks<R> {
-    /// The decode position after the most recently yielded chunk: the byte
-    /// offset and timestamp base of the first record of the *next* chunk.
-    /// Checkpointing at a chunk boundary records this so decode can
-    /// [`resume`](StreamingTraceReader::resume) mid-file.
-    pub fn position(&self) -> TracePosition {
-        self.inner.position()
-    }
-
-    /// Permissive-mode passthrough (see
-    /// [`StreamingTraceReader::permissive`]).
-    pub fn permissive(mut self, yes: bool) -> Self {
-        self.inner = self.inner.permissive(yes);
-        self
-    }
-
-    /// Records skipped by the underlying reader in permissive mode.
-    pub fn skipped(&self) -> u64 {
-        self.inner.skipped()
-    }
-
-    /// Zero-copy variant of the chunk iterator: decodes the next chunk of
-    /// at most `chunk_len` records into `out` (cleared first), reusing its
-    /// column capacity so a steady-state decode loop allocates nothing.
-    ///
-    /// Returns `None` at clean end of stream, `Some(Ok(()))` when `out`
-    /// holds at least one record, and `Some(Err(_))` for a decode error —
-    /// with the same error placement as the allocating iterator: records
-    /// decoded before the error are yielded first as a final partial batch,
-    /// then the error, then the stream fuses.
-    pub fn next_batch(&mut self, out: &mut RecordBatch) -> Option<Result<(), CodecError>> {
-        out.clear();
-        if self.done {
-            return None;
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        while out.len() < self.chunk_len {
-            match self.inner.next() {
-                Some(Ok(r)) => out.push(r),
-                Some(Err(e)) => {
-                    if out.is_empty() {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    self.pending_err = Some(e);
-                    return Some(Ok(()));
-                }
-                None => {
-                    self.done = true;
-                    if out.is_empty() {
-                        return None;
-                    }
-                    return Some(Ok(()));
-                }
-            }
-        }
-        Some(Ok(()))
-    }
-}
-
-impl<R: Read> Iterator for TraceChunks<R> {
-    type Item = Result<Vec<PacketRecord>, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        let mut chunk = Vec::with_capacity(self.chunk_len);
-        while chunk.len() < self.chunk_len {
-            match self.inner.next() {
-                Some(Ok(r)) => chunk.push(r),
-                Some(Err(e)) => {
-                    if chunk.is_empty() {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    self.pending_err = Some(e);
-                    return Some(Ok(chunk));
-                }
-                None => {
-                    self.done = true;
-                    if chunk.is_empty() {
-                        return None;
-                    }
-                    return Some(Ok(chunk));
-                }
-            }
-        }
-        Some(Ok(chunk))
     }
 }
 
@@ -850,6 +612,27 @@ mod tests {
         ]
     }
 
+    /// Drains `reader` with [`TraceReader::fill`] in batches of `max`,
+    /// returning the batch sizes, the records, and the error that ended the
+    /// stream (`None` at clean end of stream).
+    fn fill_all<R: Read>(
+        reader: &mut TraceReader<R>,
+        max: usize,
+    ) -> (Vec<usize>, Vec<PacketRecord>, Option<CodecError>) {
+        let mut batch = RecordBatch::new();
+        let (mut sizes, mut all) = (Vec::new(), Vec::new());
+        loop {
+            match reader.fill(&mut batch, max) {
+                Ok(0) => return (sizes, all, None),
+                Ok(n) => {
+                    sizes.push(n);
+                    all.extend(batch.iter());
+                }
+                Err(e) => return (sizes, all, Some(e)),
+            }
+        }
+    }
+
     #[test]
     fn roundtrip() {
         let recs = sample();
@@ -860,26 +643,26 @@ mod tests {
     #[test]
     fn empty_trace_roundtrips() {
         let bytes = encode(&[]).unwrap();
-        assert_eq!(bytes.len(), 5);
+        assert_eq!(bytes.len(), HEADER_LEN);
         assert!(decode(&bytes).unwrap().is_empty());
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let err = TraceReader::from_bytes(b"NOPE\x01".to_vec()).unwrap_err();
+        let err = TraceReader::new(&b"NOPE\x01"[..]).unwrap_err();
         assert!(matches!(err, CodecError::BadMagic(_)));
     }
 
     #[test]
     fn bad_version_rejected() {
-        let err = TraceReader::from_bytes(b"L6TR\x63".to_vec()).unwrap_err();
+        let err = TraceReader::new(&b"L6TR\x63"[..]).unwrap_err();
         assert!(matches!(err, CodecError::BadVersion(0x63)));
     }
 
     #[test]
     fn truncated_header_rejected() {
         assert!(matches!(
-            TraceReader::from_bytes(b"L6T".to_vec()).unwrap_err(),
+            TraceReader::new(&b"L6T"[..]).unwrap_err(),
             CodecError::Truncated
         ));
     }
@@ -888,7 +671,7 @@ mod tests {
     fn truncated_record_surfaces_error_once() {
         let bytes = encode(&sample()).unwrap();
         let cut = &bytes[..bytes.len() - 3];
-        let mut reader = TraceReader::from_bytes(cut.to_vec()).unwrap();
+        let mut reader = TraceReader::new(cut).unwrap();
         let mut errs = 0;
         let mut oks = 0;
         for item in reader.by_ref() {
@@ -926,18 +709,10 @@ mod tests {
     fn garbage_after_header_is_an_error_not_a_panic() {
         let mut bytes = b"L6TR\x01".to_vec();
         bytes.extend_from_slice(&[0xff; 7]); // endless varint + truncation
-        let reader = TraceReader::from_bytes(bytes).unwrap();
+        let reader = TraceReader::new(&bytes[..]).unwrap();
         let items: Vec<_> = reader.collect();
         assert_eq!(items.len(), 1);
         assert!(items[0].is_err());
-    }
-
-    #[test]
-    fn from_reader_reads_files() {
-        let bytes = encode(&sample()).unwrap();
-        let reader = TraceReader::from_reader(&bytes[..]).unwrap();
-        let recs: Result<Vec<_>, _> = reader.collect();
-        assert_eq!(recs.unwrap(), sample());
     }
 
     #[test]
@@ -971,11 +746,11 @@ mod tests {
             .map(|i| PacketRecord::tcp(i * 3, i as u128, (i * 7) as u128, 1, 22, 60))
             .collect();
         let bytes = encode(&recs).unwrap();
-        let streamed: Result<Vec<_>, _> = StreamingTraceReader::new(&bytes[..]).unwrap().collect();
+        let streamed: Result<Vec<_>, _> = TraceReader::new(&bytes[..]).unwrap().collect();
         assert_eq!(streamed.unwrap(), recs);
         // Same through a source that trickles 7 bytes at a time, forcing
-        // records to span refill boundaries.
-        let dribbled: Result<Vec<_>, _> = StreamingTraceReader::new(Dribble {
+        // the header and records to span refill boundaries.
+        let dribbled: Result<Vec<_>, _> = TraceReader::new(Dribble {
             data: &bytes,
             cap: 7,
         })
@@ -985,68 +760,51 @@ mod tests {
     }
 
     #[test]
-    fn streaming_rejects_bad_header() {
-        assert!(matches!(
-            StreamingTraceReader::new(&b"NOPE\x01"[..]).unwrap_err(),
-            CodecError::BadMagic(_)
-        ));
-        assert!(matches!(
-            StreamingTraceReader::new(&b"L6T"[..]).unwrap_err(),
-            CodecError::Truncated
-        ));
-        assert!(matches!(
-            StreamingTraceReader::new(&b"L6TR\x63"[..]).unwrap_err(),
-            CodecError::BadVersion(0x63)
-        ));
-    }
-
-    #[test]
-    fn streaming_truncation_surfaces_error_once() {
-        let bytes = encode(&sample()).unwrap();
-        let cut = &bytes[..bytes.len() - 3];
-        let mut reader = StreamingTraceReader::new(cut).unwrap();
-        let (mut oks, mut errs) = (0, 0);
-        for item in reader.by_ref() {
-            match item {
-                Ok(_) => oks += 1,
-                Err(_) => errs += 1,
-            }
-        }
-        assert_eq!((oks, errs), (3, 1));
-        assert!(reader.next().is_none(), "fused after error");
-    }
-
-    #[test]
-    fn decode_chunks_partitions_exactly() {
+    fn fill_partitions_exactly_and_reuses_capacity() {
         let recs: Vec<PacketRecord> = (0..1_000u64)
             .map(|i| PacketRecord::udp(i, i as u128, 9, 1, 53, 80))
             .collect();
         let bytes = encode(&recs).unwrap();
-        let chunks: Vec<Vec<PacketRecord>> = decode_chunks(&bytes[..], 300)
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let mut reader = TraceReader::new(&bytes[..]).unwrap();
+        let (sizes, all, err) = fill_all(&mut reader, 300);
+        assert!(err.is_none());
+        assert_eq!(sizes, vec![300, 300, 300, 100]);
+        assert_eq!(all, recs);
+        // The stream stays ended: further calls keep returning 0 and leave
+        // the reused batch cleared.
+        let mut batch = RecordBatch::new();
+        batch.push(recs[0]);
+        assert_eq!(reader.fill(&mut batch, 300).unwrap(), 0);
+        assert!(batch.is_empty());
+        // An empty trace ends on the first call.
+        let empty = encode(&[]).unwrap();
         assert_eq!(
-            chunks.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![300, 300, 300, 100]
+            fill_all(&mut TraceReader::new(&empty[..]).unwrap(), 10).0,
+            vec![]
         );
-        assert_eq!(chunks.concat(), recs);
     }
 
     #[test]
-    fn decode_chunks_error_after_partial_chunk() {
+    fn fill_delivers_partial_batch_before_error_then_fuses() {
         let bytes = encode(&sample()).unwrap();
         let cut = &bytes[..bytes.len() - 3];
-        let items: Vec<_> = decode_chunks(cut, 100).unwrap().collect();
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].as_ref().unwrap().len(), 3);
-        assert!(items[1].is_err());
-    }
-
-    #[test]
-    fn decode_chunks_empty_trace() {
-        let bytes = encode(&[]).unwrap();
-        assert_eq!(decode_chunks(&bytes[..], 10).unwrap().count(), 0);
+        let mut reader = TraceReader::new(cut).unwrap();
+        let mut batch = RecordBatch::new();
+        assert_eq!(
+            reader.fill(&mut batch, 100).unwrap(),
+            3,
+            "records before the cut arrive first"
+        );
+        assert_eq!(batch.iter().collect::<Vec<_>>(), sample()[..3]);
+        assert!(matches!(
+            reader.fill(&mut batch, 100),
+            Err(CodecError::Truncated)
+        ));
+        assert_eq!(
+            reader.fill(&mut batch, 100).unwrap(),
+            0,
+            "fused after error"
+        );
     }
 
     #[test]
@@ -1057,7 +815,7 @@ mod tests {
         let bytes = encode(&recs).unwrap();
         // Decode the first half, record the position, resume in a fresh
         // reader over a cursor, and check the concatenation is exact.
-        let mut first = StreamingTraceReader::new(io::Cursor::new(bytes.clone())).unwrap();
+        let mut first = TraceReader::new(io::Cursor::new(bytes.clone())).unwrap();
         let mut head: Vec<PacketRecord> = Vec::new();
         for _ in 0..2_500 {
             head.push(first.next().unwrap().unwrap());
@@ -1065,7 +823,7 @@ mod tests {
         let pos = first.position();
         assert_eq!(pos.prev_ts, head.last().unwrap().ts_ms);
         drop(first);
-        let tail: Result<Vec<_>, _> = StreamingTraceReader::resume(io::Cursor::new(bytes), pos)
+        let tail: Result<Vec<_>, _> = TraceReader::resume(io::Cursor::new(bytes), pos)
             .unwrap()
             .collect();
         head.extend(tail.unwrap());
@@ -1075,26 +833,26 @@ mod tests {
     #[test]
     fn position_at_eof_is_stream_length() {
         let bytes = encode(&sample()).unwrap();
-        let mut r = StreamingTraceReader::new(&bytes[..]).unwrap();
+        let mut r = TraceReader::new(&bytes[..]).unwrap();
         while r.next().is_some() {}
         assert_eq!(r.position().offset, bytes.len() as u64);
     }
 
     #[test]
-    fn chunks_position_resumes_at_chunk_boundary() {
+    fn fill_position_resumes_at_batch_boundary() {
         let recs: Vec<PacketRecord> = (0..900u64)
             .map(|i| PacketRecord::udp(i * 2, i as u128, 5, 1, 53, 80))
             .collect();
         let bytes = encode(&recs).unwrap();
-        let mut chunks = decode_chunks(io::Cursor::new(bytes.clone()), 400).unwrap();
-        let first = chunks.next().unwrap().unwrap();
-        assert_eq!(first.len(), 400);
-        let pos = chunks.position();
-        drop(chunks);
-        let rest: Result<Vec<_>, _> = StreamingTraceReader::resume(io::Cursor::new(bytes), pos)
+        let mut reader = TraceReader::new(io::Cursor::new(bytes.clone())).unwrap();
+        let mut batch = RecordBatch::new();
+        assert_eq!(reader.fill(&mut batch, 400).unwrap(), 400);
+        let pos = reader.position();
+        drop(reader);
+        let rest: Result<Vec<_>, _> = TraceReader::resume(io::Cursor::new(bytes), pos)
             .unwrap()
             .collect();
-        let mut all = first;
+        let mut all: Vec<PacketRecord> = batch.iter().collect();
         all.extend(rest.unwrap());
         assert_eq!(all, recs);
     }
@@ -1102,7 +860,7 @@ mod tests {
     #[test]
     fn strict_mode_fuses_on_field_overflow() {
         let (bytes, _) = bytes_with_bad_dport();
-        let items: Vec<_> = StreamingTraceReader::new(&bytes[..]).unwrap().collect();
+        let items: Vec<_> = TraceReader::new(&bytes[..]).unwrap().collect();
         assert_eq!(items.len(), 6, "five good records then the error");
         assert!(matches!(
             items.last().unwrap(),
@@ -1113,9 +871,7 @@ mod tests {
     #[test]
     fn permissive_mode_skips_field_overflow() {
         let (bytes, expected) = bytes_with_bad_dport();
-        let mut r = StreamingTraceReader::new(&bytes[..])
-            .unwrap()
-            .permissive(true);
+        let mut r = TraceReader::new(&bytes[..]).unwrap().permissive(true);
         let got: Result<Vec<_>, _> = r.by_ref().collect();
         assert_eq!(got.unwrap(), expected);
         assert_eq!(r.skipped(), 1);
@@ -1125,7 +881,7 @@ mod tests {
     fn permissive_mode_still_fuses_on_truncation() {
         let bytes = encode(&sample()).unwrap();
         let cut = &bytes[..bytes.len() - 3];
-        let mut r = StreamingTraceReader::new(cut).unwrap().permissive(true);
+        let mut r = TraceReader::new(cut).unwrap().permissive(true);
         let (mut oks, mut errs) = (0, 0);
         for item in r.by_ref() {
             match item {
@@ -1141,73 +897,26 @@ mod tests {
     }
 
     #[test]
-    fn next_batch_matches_iterator_and_reuses_capacity() {
-        let recs: Vec<PacketRecord> = (0..1_000u64)
-            .map(|i| PacketRecord::udp(i, i as u128, 9, 1, 53, 80))
-            .collect();
-        let bytes = encode(&recs).unwrap();
-        let mut chunks = decode_chunks(&bytes[..], 300).unwrap();
-        let mut batch = RecordBatch::new();
-        let mut all: Vec<PacketRecord> = Vec::new();
-        let mut sizes = Vec::new();
-        while let Some(item) = chunks.next_batch(&mut batch) {
-            item.unwrap();
-            sizes.push(batch.len());
-            all.extend(batch.iter());
-        }
-        assert_eq!(sizes, vec![300, 300, 300, 100]);
-        assert_eq!(all, recs);
-        // The stream is fused: further calls keep returning None and leave
-        // the reused batch cleared.
-        assert!(chunks.next_batch(&mut batch).is_none());
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn next_batch_error_after_partial_batch() {
-        let bytes = encode(&sample()).unwrap();
-        let cut = &bytes[..bytes.len() - 3];
-        let mut chunks = decode_chunks(cut, 100).unwrap();
-        let mut batch = RecordBatch::new();
-        assert!(chunks.next_batch(&mut batch).unwrap().is_ok());
-        assert_eq!(batch.len(), 3, "records before the cut arrive first");
-        assert!(matches!(
-            chunks.next_batch(&mut batch),
-            Some(Err(CodecError::Truncated))
-        ));
-        assert!(chunks.next_batch(&mut batch).is_none(), "fused after error");
-    }
-
-    #[test]
-    fn next_batch_permissive_skips_field_overflow() {
+    fn fill_permissive_skips_field_overflow() {
         let (bytes, expected) = bytes_with_bad_dport();
-        let mut chunks = decode_chunks(&bytes[..], 4).unwrap().permissive(true);
-        let mut batch = RecordBatch::new();
-        let mut all: Vec<PacketRecord> = Vec::new();
-        while let Some(item) = chunks.next_batch(&mut batch) {
-            item.unwrap();
-            all.extend(batch.iter());
-        }
+        let mut reader = TraceReader::new(&bytes[..]).unwrap().permissive(true);
+        let (_, all, err) = fill_all(&mut reader, 4);
+        assert!(err.is_none());
         assert_eq!(all, expected);
-        assert_eq!(chunks.skipped(), 1);
+        assert_eq!(reader.skipped(), 1);
     }
 
     #[test]
     fn truncation_at_every_cut_is_a_typed_error_never_a_panic() {
         let bytes = encode(&sample()).unwrap();
         for cut in 0..bytes.len() {
-            let head = &bytes[..cut];
-            match decode_chunks(head, 2) {
-                Ok(mut chunks) => {
-                    let mut batch = RecordBatch::new();
-                    while let Some(item) = chunks.next_batch(&mut batch) {
-                        if let Err(e) = item {
-                            assert!(
-                                matches!(e, CodecError::Truncated | CodecError::VarintOverflow),
-                                "cut={cut}: unexpected {e}"
-                            );
-                            break;
-                        }
+            match TraceReader::new(&bytes[..cut]) {
+                Ok(mut reader) => {
+                    if let (_, _, Some(e)) = fill_all(&mut reader, 2) {
+                        assert!(
+                            matches!(e, CodecError::Truncated | CodecError::VarintOverflow),
+                            "cut={cut}: unexpected {e}"
+                        );
                     }
                 }
                 Err(e) => assert!(
@@ -1230,16 +939,13 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = clean.clone();
                 bad[byte] ^= 1 << bit;
-                match decode_chunks(&bad[..], 7) {
-                    Ok(mut chunks) => {
+                match TraceReader::new(&bad[..]) {
+                    Ok(mut reader) => {
                         let mut batch = RecordBatch::new();
                         let mut steps = 0;
-                        while let Some(item) = chunks.next_batch(&mut batch) {
+                        while let Ok(1..) = reader.fill(&mut batch, 7) {
                             steps += 1;
                             assert!(steps <= recs.len() + 2, "byte={byte} bit={bit}: runaway");
-                            if item.is_err() {
-                                break;
-                            }
                         }
                     }
                     Err(e) => assert!(
@@ -1259,13 +965,10 @@ mod tests {
 
         let bytes = encode(&sample()).unwrap();
         let cut = &bytes[..bytes.len() - 3];
-        let _ = StreamingTraceReader::new(cut).unwrap().count();
+        let _ = TraceReader::new(cut).unwrap().count();
 
         let (bad, _) = bytes_with_bad_dport();
-        let _ = StreamingTraceReader::new(&bad[..])
-            .unwrap()
-            .permissive(true)
-            .count();
+        let _ = TraceReader::new(&bad[..]).unwrap().permissive(true).count();
 
         // Tests share the global registry, so assert monotone growth
         // rather than exact deltas.

@@ -312,8 +312,8 @@ impl Drop for PcapStats {
 
 /// Streaming classic-pcap reader over any [`Read`] source in bounded
 /// memory: only the 24-byte global header, one 16-byte record header, and
-/// one frame (≤ [`MAX_FRAME_LEN`]) are ever buffered, matching the
-/// [`StreamingTraceReader`](crate::codec::StreamingTraceReader) guarantee.
+/// one frame (at most 256 KiB) are ever buffered, matching the
+/// [`TraceReader`](crate::codec::TraceReader) guarantee.
 ///
 /// Yields each parseable IPv6 TCP/UDP/ICMPv6 packet; everything else
 /// (non-IPv6 frames, unhandled next headers, truncated tails, oversized

@@ -10,14 +10,17 @@
 //! source, and each source defines its own resumable position space so
 //! checkpoint/resume keeps working.
 //!
-//! Four implementations exist:
+//! Five implementations exist:
 //!
 //! - [`MaterializedSource`] — an in-memory, already-sorted record vector
 //!   (what the simulators and tests produce). Positions are record indices.
 //! - [`FileStreamSource`] — a bounded-memory streaming decoder over an
-//!   `L6TR` file (wrapping [`StreamingTraceReader`]). Positions are byte
-//!   offsets, exactly as session checkpoints always recorded them, so
-//!   pre-existing checkpoints resume unchanged.
+//!   `L6TR` file (wrapping [`TraceReader`]). Positions are byte offsets,
+//!   exactly as session checkpoints always recorded them, so pre-existing
+//!   checkpoints resume unchanged.
+//! - [`TailSource`] — a live, non-blocking tail of an `L6TR` file another
+//!   process is still writing, following truncation and rotation. Positions
+//!   are byte offsets within the current file.
 //! - `FleetSource` (in `lumen6-scanners`, which depends on this crate) —
 //!   synthesizes batches directly from the fleet actors in timestamp order,
 //!   never materializing a trace. Positions are record indices.
@@ -27,6 +30,11 @@
 //!   positions are interchangeable with `FleetSource`'s, so a checkpoint
 //!   written at one `gen_threads` resumes at any other.
 //!
+//! The two `L6TR` sources share the decoder: [`FileStreamSource`] delegates
+//! to [`TraceReader::fill`], and [`TailSource`] validates the header and
+//! decodes its read window with the same header check and record parser
+//! the reader uses, so both accept and reject exactly the same bytes.
+//!
 //! The [`TracePosition`] type is reused as the position for all sources;
 //! its `offset` field is *source-defined* (bytes for the file stream,
 //! record index for the others). A position is only meaningful to the kind
@@ -34,13 +42,13 @@
 
 use crate::batch::RecordBatch;
 use crate::codec::{
-    decode_record_at, CodecError, StreamingTraceReader, TracePosition, MAGIC, MAX_RECORD_LEN,
-    VERSION,
+    check_header, decode_record_at, note_decode_error, CodecError, TracePosition, TraceReader,
+    HEADER_LEN, MAX_RECORD_LEN,
 };
 use crate::record::PacketRecord;
 use lumen6_obs::MetricsRegistry;
 use std::fs::{self, File};
-use std::io::{self, BufReader, Read as _, Seek as _};
+use std::io::{self, Read as _, Seek as _};
 use std::path::{Path, PathBuf};
 
 /// Result of one non-blocking [`Source::poll_fill`] pull.
@@ -193,22 +201,17 @@ impl Source for MaterializedSource {
 #[derive(Debug)]
 pub struct FileStreamSource {
     path: PathBuf,
-    reader: StreamingTraceReader<BufReader<File>>,
+    reader: TraceReader<File>,
     permissive: bool,
-    pending_err: Option<CodecError>,
-    done: bool,
 }
 
 impl FileStreamSource {
     /// Opens `path` and validates the `L6TR` header.
     pub fn open(path: &Path) -> Result<Self, CodecError> {
-        let reader = StreamingTraceReader::new(BufReader::new(File::open(path)?))?;
         Ok(FileStreamSource {
             path: path.to_path_buf(),
-            reader,
+            reader: TraceReader::new(File::open(path)?)?,
             permissive: false,
-            pending_err: None,
-            done: false,
         })
     }
 
@@ -223,32 +226,7 @@ impl FileStreamSource {
 
 impl Source for FileStreamSource {
     fn fill(&mut self, out: &mut RecordBatch, max: usize) -> Result<usize, CodecError> {
-        out.clear();
-        if self.done {
-            return Ok(0);
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.done = true;
-            return Err(e);
-        }
-        while out.len() < max {
-            match self.reader.next() {
-                Some(Ok(r)) => out.push(r),
-                Some(Err(e)) => {
-                    if out.is_empty() {
-                        self.done = true;
-                        return Err(e);
-                    }
-                    self.pending_err = Some(e);
-                    break;
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        Ok(out.len())
+        self.reader.fill(out, max)
     }
 
     fn position(&self) -> TracePosition {
@@ -256,10 +234,8 @@ impl Source for FileStreamSource {
     }
 
     fn resume(&mut self, at: TracePosition) -> Result<(), CodecError> {
-        let file = BufReader::new(File::open(&self.path)?);
-        self.reader = StreamingTraceReader::resume(file, at)?.permissive(self.permissive);
-        self.pending_err = None;
-        self.done = false;
+        let file = File::open(&self.path)?;
+        self.reader = TraceReader::resume(file, at)?.permissive(self.permissive);
         Ok(())
     }
 
@@ -385,8 +361,8 @@ impl TailSource {
 
     /// Decodes complete records from `[offset, flen)` of the held file into
     /// `out`. Returns `Ok(true)` if decoding is blocked on a partial
-    /// trailing record (more bytes needed), `Ok(false)` if everything
-    /// available was consumed.
+    /// trailing record (more bytes needed), `Ok(false)` once everything
+    /// available was consumed or `out` holds `max` records.
     fn decode_available(
         &mut self,
         out: &mut RecordBatch,
@@ -397,73 +373,164 @@ impl TailSource {
             return Ok(false);
         };
         if !self.header_done {
-            if flen < 5 {
+            if flen < HEADER_LEN as u64 {
                 return Ok(flen > 0);
             }
-            let mut header = [0u8; 5];
+            let mut header = [0u8; HEADER_LEN];
             file.seek(io::SeekFrom::Start(0))?;
             file.read_exact(&mut header)?;
-            let magic = [header[0], header[1], header[2], header[3]];
-            if &magic != MAGIC {
-                return Err(CodecError::BadMagic(magic));
-            }
-            if header[4] != VERSION {
-                return Err(CodecError::BadVersion(header[4]));
-            }
+            check_header(&header)?;
             self.header_done = true;
-            self.offset = 5;
+            self.offset = HEADER_LEN as u64;
         }
-        let avail = flen.saturating_sub(self.offset);
-        if avail == 0 || out.len() >= max {
-            return Ok(false);
-        }
-        // One window holds everything this poll can deliver: `max` records
-        // at the worst-case encoded length. The read may come up short if
-        // the file shrinks mid-poll; decode only what actually arrived.
-        let want = usize::try_from(avail)
-            .unwrap_or(usize::MAX)
-            .min((max - out.len()).saturating_mul(MAX_RECORD_LEN));
-        self.window.resize(want, 0);
-        file.seek(io::SeekFrom::Start(self.offset))?;
-        let mut got = 0;
-        while got < want {
-            let n = file.read(&mut self.window[got..])?;
-            if n == 0 {
-                break;
+        // Each window holds the rest of this poll's budget: `max - out.len()`
+        // records at the worst-case encoded length. Records skipped in
+        // permissive mode take window space without filling `out`, so a
+        // window that ends before end-of-file is followed by the next one.
+        loop {
+            let avail = flen.saturating_sub(self.offset);
+            if avail == 0 || out.len() >= max {
+                return Ok(false);
             }
-            got += n;
-        }
-        let data = &self.window[..got];
-        let mut pos = 0usize;
-        let mut partial = false;
-        while out.len() < max {
-            match decode_record_at(data, &mut pos, &mut self.prev_ts) {
-                Ok(r) => out.push(r),
-                Err(CodecError::Truncated) => {
-                    // A record runs past the window: the writer's partial
-                    // tail if the window reached end-of-file, otherwise a
-                    // complete record the next (re-read) window will cover.
-                    // Never consumed either way.
-                    partial = pos < data.len() && self.offset + got as u64 >= flen;
+            // The read may come up short if the file shrinks mid-poll;
+            // decode only what actually arrived.
+            let want = usize::try_from(avail)
+                .unwrap_or(usize::MAX)
+                .min((max - out.len()).saturating_mul(MAX_RECORD_LEN));
+            self.window.resize(want, 0);
+            file.seek(io::SeekFrom::Start(self.offset))?;
+            let mut got = 0;
+            while got < want {
+                let n = file.read(&mut self.window[got..])?;
+                if n == 0 {
                     break;
                 }
-                Err(e) if self.permissive && e.is_recoverable() => {
-                    self.skipped += 1;
-                    MetricsRegistry::global()
-                        .counter(&format!("trace.tail.skipped.{}", e.kind()))
-                        .inc();
-                }
-                Err(e) => {
-                    if out.is_empty() {
-                        return Err(e);
+                got += n;
+            }
+            let data = &self.window[..got];
+            let at_eof = self.offset + got as u64 >= flen;
+            let mut pos = 0usize;
+            let mut failed = None;
+            while out.len() < max {
+                match decode_record_at(data, &mut pos, &mut self.prev_ts) {
+                    Ok(r) => out.push(r),
+                    // The window ends inside (or right after) a record,
+                    // which is left unconsumed.
+                    Err(CodecError::Truncated) => break,
+                    Err(e) if self.permissive && e.is_recoverable() => {
+                        self.skipped += 1;
+                        MetricsRegistry::global()
+                            .counter(&format!("trace.tail.skipped.{}", e.kind()))
+                            .inc();
                     }
-                    self.pending_err = Some(e);
-                    break;
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
                 }
             }
+            // Commit what was consumed even on an error, so the position
+            // matches the file reader's: past a bad record, before a
+            // framing error.
+            self.offset += pos as u64;
+            match failed {
+                Some(e) if out.is_empty() => return Err(e),
+                Some(e) => {
+                    self.pending_err = Some(e);
+                    return Ok(false);
+                }
+                None => {}
+            }
+            if at_eof {
+                // Bytes left over at end-of-file with budget to spare are
+                // the writer's partial trailing record.
+                return Ok(out.len() < max && pos < data.len());
+            }
+            if pos == 0 {
+                // No progress: the file shrank mid-poll. The next poll
+                // sees the truncation.
+                return Ok(false);
+            }
         }
-        self.offset += pos as u64;
-        Ok(partial)
+    }
+
+    /// One poll over at most two incarnations of the file: the first pass
+    /// drains the current file; if it rotated away empty, the second pass
+    /// reads the successor.
+    fn poll_incarnations(
+        &mut self,
+        out: &mut RecordBatch,
+        max: usize,
+    ) -> Result<FillOutcome, CodecError> {
+        for _ in 0..2 {
+            if self.file.is_none() {
+                match File::open(&self.path) {
+                    Ok(f) => self.file = Some(f),
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                        return Ok(FillOutcome::Pending)
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            let (flen, rotated) = {
+                let Some(file) = self.file.as_ref() else {
+                    return Ok(FillOutcome::Pending);
+                };
+                let hmeta = file.metadata()?;
+                let rotated = match fs::metadata(&self.path) {
+                    Ok(m) => !same_file(&m, &hmeta),
+                    // Renamed away with no successor yet: treat as rotated
+                    // and wait for the new file.
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => true,
+                    Err(e) => return Err(e.into()),
+                };
+                (hmeta.len(), rotated)
+            };
+            if !rotated && flen < self.offset {
+                // Truncated in place: the offset space restarted, so must we.
+                self.truncations += 1;
+                MetricsRegistry::global()
+                    .counter("trace.tail.truncations")
+                    .inc();
+                self.restart_incarnation();
+                continue;
+            }
+            let blocked_on_partial = self.decode_available(out, max, flen)?;
+            if !out.is_empty() {
+                return Ok(FillOutcome::Filled(out.len()));
+            }
+            if rotated {
+                // Old incarnation fully drained of complete records. A
+                // stranded partial tail can never complete — discard it.
+                let consumed = if self.header_done {
+                    HEADER_LEN as u64
+                } else {
+                    0
+                };
+                let stranded = flen.saturating_sub(self.offset.max(consumed));
+                if stranded > 0 {
+                    MetricsRegistry::global()
+                        .counter("trace.tail.discarded_bytes")
+                        .add(stranded);
+                }
+                self.rotations += 1;
+                MetricsRegistry::global()
+                    .counter("trace.tail.rotations")
+                    .inc();
+                self.restart_incarnation();
+                continue;
+            }
+            if Self::eof_marker(&self.path).exists() {
+                if self.offset >= flen && !blocked_on_partial {
+                    self.done = true;
+                    return Ok(FillOutcome::Eof);
+                }
+                // Declared finished mid-record: genuine truncation.
+                return Err(CodecError::Truncated);
+            }
+            return Ok(FillOutcome::Pending);
+        }
+        Ok(FillOutcome::Pending)
     }
 }
 
@@ -486,92 +553,16 @@ impl Source for TailSource {
         if self.done {
             return Ok(FillOutcome::Eof);
         }
-        if let Some(e) = self.pending_err.take() {
+        let polled = match self.pending_err.take() {
+            Some(e) => Err(e),
+            None => self.poll_incarnations(out, max.max(1)),
+        };
+        // Every error ends the tail and is counted once under
+        // `trace.codec.errors.<kind>`, as the file reader counts its own.
+        polled.inspect_err(|e| {
             self.done = true;
-            return Err(e);
-        }
-        let max = max.max(1);
-        // At most one incarnation switch per poll: the first pass drains
-        // the current file; if it rotated away empty, the second pass reads
-        // the successor.
-        for _ in 0..2 {
-            if self.file.is_none() {
-                match File::open(&self.path) {
-                    Ok(f) => self.file = Some(f),
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                        return Ok(FillOutcome::Pending)
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e.into());
-                    }
-                }
-            }
-            let (flen, rotated) = {
-                let Some(file) = self.file.as_ref() else {
-                    return Ok(FillOutcome::Pending);
-                };
-                let hmeta = file.metadata()?;
-                let rotated = match fs::metadata(&self.path) {
-                    Ok(m) => !same_file(&m, &hmeta),
-                    // Renamed away with no successor yet: treat as rotated
-                    // and wait for the new file.
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => true,
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e.into());
-                    }
-                };
-                (hmeta.len(), rotated)
-            };
-            if !rotated && flen < self.offset {
-                // Truncated in place: the offset space restarted, so must we.
-                self.truncations += 1;
-                MetricsRegistry::global()
-                    .counter("trace.tail.truncations")
-                    .inc();
-                self.restart_incarnation();
-                continue;
-            }
-            let blocked_on_partial = match self.decode_available(out, max, flen) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            if !out.is_empty() {
-                return Ok(FillOutcome::Filled(out.len()));
-            }
-            if rotated {
-                // Old incarnation fully drained of complete records. A
-                // stranded partial tail can never complete — discard it.
-                let stranded =
-                    flen.saturating_sub(self.offset.max(if self.header_done { 5 } else { 0 }));
-                if stranded > 0 {
-                    MetricsRegistry::global()
-                        .counter("trace.tail.discarded_bytes")
-                        .add(stranded);
-                }
-                self.rotations += 1;
-                MetricsRegistry::global()
-                    .counter("trace.tail.rotations")
-                    .inc();
-                self.restart_incarnation();
-                continue;
-            }
-            if Self::eof_marker(&self.path).exists() {
-                if self.offset >= flen && !blocked_on_partial {
-                    self.done = true;
-                    return Ok(FillOutcome::Eof);
-                }
-                // Declared finished mid-record: genuine truncation.
-                self.done = true;
-                return Err(CodecError::Truncated);
-            }
-            return Ok(FillOutcome::Pending);
-        }
-        Ok(FillOutcome::Pending)
+            note_decode_error(e);
+        })
     }
 
     fn position(&self) -> TracePosition {
@@ -585,7 +576,7 @@ impl Source for TailSource {
         self.file = None;
         self.done = false;
         self.pending_err = None;
-        if at.offset < 5 {
+        if at.offset < HEADER_LEN as u64 {
             self.offset = 0;
             self.prev_ts = 0;
             self.header_done = false;
@@ -974,5 +965,103 @@ mod tests {
         let (tail, state) = poll_all(&mut fresh, 33);
         assert_eq!(state, FillOutcome::Eof);
         assert_eq!(tail, want[80..].to_vec());
+    }
+
+    /// What draining a source to its end yields: the records, the skip
+    /// count, the final position, and the kind of the error that ended it
+    /// (`None` at a clean end of stream).
+    #[derive(Debug, PartialEq)]
+    struct Drained {
+        records: Vec<PacketRecord>,
+        skipped: u64,
+        position: TracePosition,
+        error: Option<&'static str>,
+    }
+
+    fn drain_to_end(src: &mut dyn Source, max: usize) -> Drained {
+        let mut records = Vec::new();
+        let mut batch = RecordBatch::new();
+        let error = loop {
+            match src.fill(&mut batch, max) {
+                Ok(0) => break None,
+                Ok(_) => records.extend(batch.iter()),
+                Err(e) => break Some(e.kind()),
+            }
+        };
+        Drained {
+            records,
+            skipped: src.skipped(),
+            position: src.position(),
+            error,
+        }
+    }
+
+    #[test]
+    fn file_and_tail_decode_agree() {
+        let clean = encode(&recs(30)).expect("encode");
+        let (overflow, _) = crate::codec::tests_support::bytes_with_bad_dport();
+        let cut = &clean[..clean.len() - 3];
+        let mut bad_magic = clean.clone();
+        bad_magic[..4].copy_from_slice(b"NOPE");
+        let cases: [(&str, &[u8], bool); 5] = [
+            ("clean", &clean, false),
+            ("overflow-permissive", &overflow, true),
+            ("overflow-strict", &overflow, false),
+            ("cut-mid-record", cut, false),
+            ("bad-magic", &bad_magic, false),
+        ];
+        // Batch size 1 puts every error first in its batch; 4 puts the
+        // strict overflow (record 5) after a record in the same batch.
+        for ((name, bytes, permissive), max) in cases.into_iter().flat_map(|c| [(c, 1), (c, 4)]) {
+            let dir = ScopedDir::new("agree");
+            let path = dir.file("t.l6tr");
+            std::fs::write(&path, bytes).unwrap();
+            std::fs::write(TailSource::eof_marker(&path), b"").unwrap();
+            let file = match FileStreamSource::open(&path) {
+                Ok(src) => drain_to_end(&mut src.permissive(permissive), max),
+                // A header the reader rejects consumed nothing.
+                Err(e) => Drained {
+                    records: Vec::new(),
+                    skipped: 0,
+                    position: TracePosition {
+                        offset: 0,
+                        prev_ts: 0,
+                    },
+                    error: Some(e.kind()),
+                },
+            };
+            let tail = drain_to_end(&mut TailSource::open(&path).permissive(permissive), max);
+            assert_eq!(file, tail, "{name} max={max}");
+            let want_error = match name {
+                "clean" | "overflow-permissive" => None,
+                "overflow-strict" => Some("field_overflow"),
+                "cut-mid-record" => Some("truncated"),
+                _ => Some("bad_magic"),
+            };
+            assert_eq!(tail.error, want_error, "{name} max={max}");
+        }
+    }
+
+    #[test]
+    fn tail_source_counts_fatal_decode_errors() {
+        let mut bytes = encode(&recs(5)).expect("encode");
+        bytes[..4].copy_from_slice(b"NOPE");
+        let dir = ScopedDir::new("badmagic");
+        let path = dir.file("t.l6tr");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let reg = MetricsRegistry::global();
+        let before = reg.counter("trace.codec.errors.bad_magic").get();
+
+        let mut src = TailSource::open(&path);
+        let mut batch = RecordBatch::new();
+        let err = src.poll_fill(&mut batch, 4).unwrap_err();
+        assert!(matches!(err, CodecError::BadMagic(_)));
+        // Fused after the error.
+        assert_eq!(src.poll_fill(&mut batch, 4).unwrap(), FillOutcome::Eof);
+
+        // Tests share the global registry, so assert monotone growth
+        // rather than exact deltas.
+        assert!(reg.counter("trace.codec.errors.bad_magic").get() > before);
     }
 }

@@ -37,7 +37,7 @@ fn trace_writer_reader_file_path() {
     }
     w.finish().unwrap();
 
-    let reader = TraceReader::from_reader(std::fs::File::open(&path).unwrap()).unwrap();
+    let reader = TraceReader::new(std::fs::File::open(&path).unwrap()).unwrap();
     let back: Result<Vec<_>, _> = reader.collect();
     assert_eq!(back.unwrap(), trace);
     std::fs::remove_dir_all(&dir).ok();
