@@ -136,6 +136,69 @@ impl SourceRun {
             ports: FxHashMap::default(),
         }
     }
+
+    /// Adds one packet to the run: the single per-row update behind both
+    /// [`ScanDetector::observe_aggregated`] and the batched replay.
+    ///
+    /// `memo` holds what this run was last given. A dst or src equal to
+    /// the memo's is already in its counter, and inserting it again would
+    /// change no exact set, sketch or `keep_dsts` list, so the insert is
+    /// skipped. Packets to the same service are summed in the memo and
+    /// added to `ports` once the service changes. Call
+    /// [`settle`](Self::settle) before the run is read or replaced.
+    #[inline]
+    fn absorb(
+        &mut self,
+        memo: &mut RepeatMemo,
+        ts_ms: u64,
+        src: u128,
+        dst: u128,
+        service: (Transport, u16),
+        (spill, precision): (usize, u8),
+    ) {
+        self.last_ms = self.last_ms.max(ts_ms);
+        self.packets += 1;
+        if memo.dst != Some(dst) {
+            self.dsts.insert(dst, spill, precision);
+            if let Some(list) = self.dst_list.as_mut() {
+                list.insert(dst);
+            }
+            memo.dst = Some(dst);
+        }
+        if memo.src != Some(src) {
+            self.srcs.insert(src, spill, precision);
+            memo.src = Some(src);
+        }
+        match &mut memo.port {
+            Some((k, n)) if *k == service => *n += 1,
+            pending => {
+                if let Some((k, n)) = pending.replace((service, 1)) {
+                    *self.ports.entry(k).or_default() += n;
+                }
+            }
+        }
+    }
+
+    /// Adds the memo's pending service count to the run and resets the
+    /// memo, which then describes no run: due at a timeout split (before
+    /// the old run is emitted) and at the end of a group replay.
+    fn settle(&mut self, memo: &mut RepeatMemo) {
+        if let Some((k, n)) = memo.port.take() {
+            *self.ports.entry(k).or_default() += n;
+        }
+        *memo = RepeatMemo::default();
+    }
+}
+
+/// What one [`SourceRun`] was last given during a replay (see
+/// [`SourceRun::absorb`]): the last dst and src inserted, and a pending
+/// `(service, count)` not yet added to `ports`. Scan traffic repeats these
+/// from row to row, so the memos skip most hash operations.
+#[derive(Debug, Default)]
+struct RepeatMemo {
+    dst: Option<u128>,
+    src: Option<u128>,
+    port: Option<((Transport, u16), u64)>,
 }
 
 /// Reusable grouping scratch for [`ScanDetector::observe_batch`]: index
@@ -289,7 +352,7 @@ impl ScanDetector {
     ) -> Option<ScanEvent> {
         debug_assert_eq!(source, self.config.agg.source_of(r.src));
         self.observed += 1;
-        let (spill, precision) = self.config.sketch_params();
+        let sketch = self.config.sketch_params();
 
         let mut closed = None;
         let run = match self.runs.entry(source) {
@@ -311,14 +374,9 @@ impl ScanDetector {
             }
         };
 
-        run.last_ms = run.last_ms.max(r.ts_ms);
-        run.packets += 1;
-        run.dsts.insert(r.dst, spill, precision);
-        if let Some(list) = run.dst_list.as_mut() {
-            list.insert(r.dst);
-        }
-        run.srcs.insert(r.src, spill, precision);
-        *run.ports.entry((r.proto, r.dport)).or_default() += 1;
+        let mut memo = RepeatMemo::default();
+        run.absorb(&mut memo, r.ts_ms, r.src, r.dst, (r.proto, r.dport), sketch);
+        run.settle(&mut memo);
 
         closed
     }
@@ -336,9 +394,20 @@ impl ScanDetector {
     /// [`kernels::aggregate_column`](crate::kernels::aggregate_column) pass
     /// — a single AND per row — and a last-source memo makes the grouping
     /// itself O(1) per record for bursty scan traffic.
+    ///
+    /// Each group's replay reads only the `ts`, `src`, `dst`, `proto` and
+    /// `dport` columns and keeps three repeat memos for the run it feeds:
+    /// the last dst and the last src inserted, and a pending
+    /// `((proto, dport), n)` count. A row whose dst or src equals the memo
+    /// skips that insert, which is exact because a repeated insert changes
+    /// no exact set, sketch or `keep_dsts` list. The pending count is added
+    /// to the run's service histogram once, when the service changes. At a
+    /// timeout split the pending count goes to the old run before it is
+    /// emitted and all three memos reset; at group end the pending count
+    /// is added too.
     pub fn observe_batch(&mut self, batch: &RecordBatch) -> Vec<ScanEvent> {
         let n = batch.len();
-        let (spill, precision) = self.config.sketch_params();
+        let sketch = self.config.sketch_params();
         let keep = self.config.keep_dsts;
         let timeout = self.config.timeout_ms;
         let agg = self.config.agg;
@@ -380,6 +449,8 @@ impl ScanDetector {
         // group's records against the held run. Per-source state depends
         // only on that source's subsequence, so processing groups out of
         // arrival order cannot change any run or counter.
+        let (ts_col, src_col, dst_col) = (batch.ts_ms(), batch.src(), batch.dst());
+        let (proto_col, dport_col) = (batch.proto(), batch.dport());
         let mut opened = 0u64;
         for (key, idxs) in groups.iter_mut() {
             // The key bits are already masked, so this re-mask is identity.
@@ -392,26 +463,31 @@ impl ScanDetector {
                     vac.insert(SourceRun::new(first_ts, keep))
                 }
             };
+            let mut memo = RepeatMemo::default();
             for &i in idxs.iter() {
-                let r = batch.get(i as usize);
-                debug_assert_eq!(source, agg.source_of(r.src));
-                let gap = r.ts_ms.saturating_sub(run.last_ms);
-                if gap > timeout {
-                    let old = std::mem::replace(run, SourceRun::new(r.ts_ms, keep));
+                let row = i as usize;
+                let ts = ts_col[row];
+                debug_assert_eq!(source, agg.source_of(src_col[row]));
+                if ts.saturating_sub(run.last_ms) > timeout {
+                    // The pending service count belongs to the old run, and
+                    // the memos must not describe the new one.
+                    run.settle(&mut memo);
+                    let old = std::mem::replace(run, SourceRun::new(ts, keep));
                     opened += 1;
                     if let Some(e) = Self::emit(&self.config, source, old) {
                         closed.push((i, e));
                     }
                 }
-                run.last_ms = run.last_ms.max(r.ts_ms);
-                run.packets += 1;
-                run.dsts.insert(r.dst, spill, precision);
-                if let Some(list) = run.dst_list.as_mut() {
-                    list.insert(r.dst);
-                }
-                run.srcs.insert(r.src, spill, precision);
-                *run.ports.entry((r.proto, r.dport)).or_default() += 1;
+                run.absorb(
+                    &mut memo,
+                    ts,
+                    src_col[row],
+                    dst_col[row],
+                    (proto_col[row], dport_col[row]),
+                    sketch,
+                );
             }
+            run.settle(&mut memo);
         }
 
         // Phase 3: restore exact arrival order for the closure events (a
@@ -693,6 +769,36 @@ mod tests {
         recs
     }
 
+    /// Feeds `recs` per record and in batches of several sizes (including
+    /// size 1 and the whole input), and asserts equal mid-stream events,
+    /// `state()`, counters and final events.
+    fn assert_batched_matches_per_record(cfg: &ScanDetectorConfig, recs: &[PacketRecord]) {
+        let mut per_record = ScanDetector::new(cfg.clone());
+        let mut per_events = Vec::new();
+        for r in recs {
+            per_events.extend(per_record.observe(r));
+        }
+        let per_state = per_record.state();
+        let per_observed = per_record.observed();
+        let per_opened = per_record.runs_opened();
+        let per_final = per_record.finish();
+
+        // Awkward batch sizes: mid-run splits, size-1 batches.
+        for chunk in [1usize, 2, 7, 64, recs.len().max(1)] {
+            let mut batched = ScanDetector::new(cfg.clone());
+            let mut bat_events = Vec::new();
+            for part in recs.chunks(chunk) {
+                let batch: RecordBatch = part.iter().copied().collect();
+                bat_events.extend(batched.observe_batch(&batch));
+            }
+            assert_eq!(bat_events, per_events, "chunk={chunk}: events");
+            assert_eq!(batched.state(), per_state, "chunk={chunk}: snapshot state");
+            assert_eq!(batched.observed(), per_observed);
+            assert_eq!(batched.runs_opened(), per_opened);
+            assert_eq!(batched.finish(), per_final, "chunk={chunk}: final events");
+        }
+    }
+
     #[test]
     fn observe_batch_matches_per_record() {
         for cfg in [
@@ -707,31 +813,103 @@ mod tests {
                 ..ScanDetectorConfig::paper(AggLevel::L128)
             },
         ] {
-            let recs = mixed_workload();
-            let mut per_record = ScanDetector::new(cfg.clone());
-            let mut per_events = Vec::new();
-            for r in &recs {
-                per_events.extend(per_record.observe(r));
-            }
-
-            // Awkward batch sizes: mid-run splits, size-1 batches.
-            for chunk in [1usize, 7, 64, recs.len()] {
-                let mut batched = ScanDetector::new(cfg.clone());
-                let mut bat_events = Vec::new();
-                for part in recs.chunks(chunk) {
-                    let batch: RecordBatch = part.iter().copied().collect();
-                    bat_events.extend(batched.observe_batch(&batch));
-                }
-                assert_eq!(bat_events, per_events, "chunk={chunk}: events");
-                assert_eq!(
-                    batched.state(),
-                    per_record.state(),
-                    "chunk={chunk}: snapshot state"
-                );
-                assert_eq!(batched.observed(), per_record.observed());
-                assert_eq!(batched.runs_opened(), per_record.runs_opened());
-            }
+            assert_batched_matches_per_record(&cfg, &mixed_workload());
         }
+    }
+
+    /// A small-threshold config so that runs of a handful of rows emit
+    /// events, whose packet counts, distinct counts and ports then show up
+    /// in the comparison.
+    fn tiny_cfg() -> ScanDetectorConfig {
+        ScanDetectorConfig {
+            min_dsts: 1,
+            ..ScanDetectorConfig::paper(AggLevel::L128)
+        }
+    }
+
+    #[test]
+    fn repeat_memos_reset_at_timeout_split_inside_one_group() {
+        // One source; the row after the gap repeats the dst, src and port
+        // of the row before it, so a memo carried over the split would
+        // skip the new run's first dst and src inserts and misattribute
+        // the pending port count.
+        let (src, d1, d2) = (0x2001_0db8, 0xd1, 0xd2);
+        let mut recs = vec![
+            PacketRecord::tcp(0, src, d1, 1, 22, 60),
+            PacketRecord::tcp(10, src, d1, 1, 22, 60),
+            PacketRecord::tcp(20, src, d2, 1, 22, 60),
+        ];
+        let t = 20 + HOUR + 1;
+        recs.extend([
+            PacketRecord::tcp(t, src, d2, 1, 22, 60),
+            PacketRecord::tcp(t + 10, src, d2, 1, 22, 60),
+            PacketRecord::tcp(t + 20, src, d1, 1, 443, 60),
+        ]);
+        assert_batched_matches_per_record(&tiny_cfg(), &recs);
+
+        let mut det = ScanDetector::new(tiny_cfg());
+        let batch: RecordBatch = recs.iter().copied().collect();
+        let closed = det.observe_batch(&batch);
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].packets, 3);
+        assert_eq!(closed[0].distinct_dsts, 2);
+        assert_eq!(closed[0].ports, vec![((Transport::Tcp, 22), 3)]);
+        let state = det.state();
+        let run = &state.runs[0];
+        assert_eq!(run.packets, 3);
+        assert_eq!(
+            run.ports,
+            vec![((Transport::Tcp, 22), 2), ((Transport::Tcp, 443), 1)]
+        );
+        let open = det.finish();
+        assert_eq!(open[0].distinct_dsts, 2, "d2 counted in the new run");
+        assert_eq!(open[0].distinct_srcs, 1, "src counted in the new run");
+    }
+
+    #[test]
+    fn repeat_memo_port_pattern_a_b_a() {
+        let src = 0x2001_0db8;
+        let ports = [22u16, 80, 22, 22, 80, 22];
+        let recs: Vec<PacketRecord> = ports
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| PacketRecord::tcp(i as u64, src, 0xd0 + (i as u128 % 2), 1, p, 60))
+            .collect();
+        assert_batched_matches_per_record(&tiny_cfg(), &recs);
+
+        let mut det = ScanDetector::new(tiny_cfg());
+        det.observe_batch(&recs.iter().copied().collect());
+        assert_eq!(
+            det.state().runs[0].ports,
+            vec![((Transport::Tcp, 22), 4), ((Transport::Tcp, 80), 2)]
+        );
+    }
+
+    #[test]
+    fn repeat_memos_across_sketch_spill_with_keep_dsts() {
+        // The dst counter spills after 4 distinct dsts; repeats land right
+        // before, at and after the spill, and the src column alternates
+        // inside one /64 so the src memo both hits and misses.
+        let cfg = ScanDetectorConfig {
+            agg: AggLevel::L64,
+            keep_dsts: true,
+            sketch: Some(SketchConfig::spill_at(4)),
+            ..tiny_cfg()
+        };
+        let dsts = [1u128, 2, 3, 4, 4, 4, 5, 5, 6, 3, 3, 7, 7, 8];
+        let recs: Vec<PacketRecord> = dsts
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| {
+                let src = 0x2001_0db8 + (i as u128 / 3 % 2);
+                PacketRecord::udp(i as u64 * 1000, src, 0xdd00 + d, 1, 53, 60)
+            })
+            .collect();
+        assert_batched_matches_per_record(&cfg, &recs);
+        let mut det = ScanDetector::new(cfg);
+        det.observe_batch(&recs.iter().copied().collect());
+        assert!(matches!(det.state().runs[0].dsts, CounterState::Sketch(_)));
+        assert_eq!(det.state().runs[0].dst_list.as_ref().map(Vec::len), Some(8));
     }
 
     #[test]

@@ -90,14 +90,11 @@ impl MultiLevelDetector {
         }
     }
 
-    /// [`observe_batch`](Self::observe_batch) over a plain record slice.
+    /// [`observe_batch`](Self::observe_batch) over a plain record slice:
+    /// stages the rows into one columnar batch that every level reads.
     pub fn observe_records(&mut self, records: &[PacketRecord]) {
-        for (lvl, det) in &mut self.detectors {
-            let events = det.observe_records(records);
-            if !events.is_empty() {
-                self.pending.entry(*lvl).or_default().extend(events);
-            }
-        }
+        let batch: RecordBatch = records.iter().copied().collect();
+        self.observe_batch(&batch);
     }
 
     /// Closes runs idle since before `now - timeout` at every level,

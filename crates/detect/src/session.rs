@@ -976,7 +976,7 @@ impl Session {
     ///
     /// The first step lazily initializes: if the checkpoint file exists
     /// the session restores from it and `src` is
-    /// [`Source::resume`](lumen6_trace::Source::resume)d at the
+    /// [`Source::resume`]d at the
     /// checkpointed position — so the same `src` must be passed to every
     /// step of one session.
     ///
@@ -1024,27 +1024,56 @@ impl Session {
         };
 
         reg.counter("source.records").add(n as u64);
-        for i in 0..n {
-            let rec = st.incoming.get(i);
-            st.records_done += 1;
-            st.reorder.push(rec, &mut st.ready);
-            for r in st.ready.drain(..) {
-                if self.config.flush_idle_every_ms > 0
-                    && r.ts_ms >= st.last_flush + self.config.flush_idle_every_ms
-                {
-                    // Flush at the watermark horizon: every future
-                    // detector input is ≥ `r.ts_ms - watermark`, so
-                    // closures here match what end-of-stream finish
-                    // would emit.
+        let flush_every = self.config.flush_idle_every_ms;
+        if st.reorder.watermark_ms() == 0 {
+            // Passthrough: stage `incoming` column by column, in chunks
+            // that end at the batch capacity and at the first row that is
+            // due an idle flush — the same detector batches and flush
+            // points as the per-record loop below.
+            st.records_done += n as u64;
+            let ts = st.incoming.ts_ms();
+            let mut i = 0;
+            while i < n {
+                if flush_every > 0 && ts[i] >= st.last_flush + flush_every {
                     flush_staged(reg, &mut st.det, &mut st.staged);
-                    st.det
-                        .flush_idle(r.ts_ms.saturating_sub(st.reorder.watermark_ms()));
-                    st.last_flush = r.ts_ms;
+                    st.det.flush_idle(ts[i]);
+                    st.last_flush = ts[i];
                     reg.counter("detect.session.idle_flushes").add(1);
                 }
-                st.staged.push(r);
+                let mut end = n.min(i + (batch_cap - st.staged.len()));
+                if flush_every > 0 {
+                    let due = st.last_flush + flush_every;
+                    if let Some(k) = ts[i + 1..end].iter().position(|&t| t >= due) {
+                        end = i + 1 + k;
+                    }
+                }
+                st.staged.extend_from_range(&st.incoming, i..end);
                 if st.staged.len() >= batch_cap {
                     flush_staged(reg, &mut st.det, &mut st.staged);
+                }
+                i = end;
+            }
+        } else {
+            for i in 0..n {
+                let rec = st.incoming.get(i);
+                st.records_done += 1;
+                st.reorder.push(rec, &mut st.ready);
+                for r in st.ready.drain(..) {
+                    if flush_every > 0 && r.ts_ms >= st.last_flush + flush_every {
+                        // Flush at the watermark horizon: every future
+                        // detector input is ≥ `r.ts_ms - watermark`, so
+                        // closures here match what end-of-stream finish
+                        // would emit.
+                        flush_staged(reg, &mut st.det, &mut st.staged);
+                        st.det
+                            .flush_idle(r.ts_ms.saturating_sub(st.reorder.watermark_ms()));
+                        st.last_flush = r.ts_ms;
+                        reg.counter("detect.session.idle_flushes").add(1);
+                    }
+                    st.staged.push(r);
+                    if st.staged.len() >= batch_cap {
+                        flush_staged(reg, &mut st.det, &mut st.staged);
+                    }
                 }
             }
         }

@@ -297,12 +297,16 @@ proptest! {
 
     /// A checkpoint written mid-batch is byte-identical to one written by
     /// per-record ingest at the same stream position, and resuming from it
-    /// reproduces the uninterrupted per-record report exactly.
+    /// reproduces the uninterrupted per-record report exactly. Half the
+    /// cases also flush idle runs every `idle` ms of stream time, so the
+    /// points where a batch is cut for an idle flush are pinned down to
+    /// checkpoint bytes as well.
     #[test]
     fn checkpoint_resume_byte_identical_across_batch_sizes(
         recs in arb_workload(),
         batch in 2usize..300,
         every in 10u64..120,
+        idle in prop_oneof![Just(0u64), 100_000u64..2_000_000],
     ) {
         use lumen6_detect::{
             Backend, CheckpointPolicy, DetectorBuilder, Session, SessionConfig, SessionOutcome,
@@ -335,7 +339,7 @@ proptest! {
         let reference = match Session::new(
             builder.clone(),
             Backend::Sequential,
-            SessionConfig { batch: 1, ..Default::default() },
+            SessionConfig { batch: 1, flush_idle_every_ms: idle, ..Default::default() },
         )
         .run(&trace)
         .unwrap()
@@ -354,6 +358,7 @@ proptest! {
                     every_records: every,
                     stop_after: Some(1),
                 }),
+                flush_idle_every_ms: idle,
                 batch: b,
                 ..Default::default()
             };
@@ -370,6 +375,7 @@ proptest! {
                             every_records: every,
                             stop_after: None,
                         }),
+                        flush_idle_every_ms: idle,
                         batch: b,
                         ..Default::default()
                     };

@@ -160,7 +160,8 @@ impl RecordBatch {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// The timestamp column.
+    /// The timestamp column (milliseconds), row-aligned with every other
+    /// column accessor.
     pub fn ts_ms(&self) -> &[u64] {
         &self.ts_ms
     }
@@ -173,6 +174,17 @@ impl RecordBatch {
     /// The destination-address column.
     pub fn dst(&self) -> &[u128] {
         &self.dst
+    }
+
+    /// The transport-protocol column.
+    pub fn proto(&self) -> &[Transport] {
+        &self.proto
+    }
+
+    /// The destination-port column. Together with [`proto`](Self::proto)
+    /// it keys the detector's per-run service histogram.
+    pub fn dport(&self) -> &[u16] {
+        &self.dport
     }
 }
 
@@ -313,5 +325,7 @@ mod tests {
         assert_eq!(b.ts_ms(), &[0, 1, 2, 3, 4]);
         assert_eq!(b.src()[3], 0x2001 + 3);
         assert_eq!(b.dst()[4], 0xdd00 + 4);
+        assert_eq!(b.proto(), &[Transport::Tcp; 5]);
+        assert_eq!(b.dport(), &[22; 5]);
     }
 }
